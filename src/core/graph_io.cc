@@ -1,5 +1,6 @@
 #include "core/graph_io.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -30,6 +31,20 @@ void write_edge_list(const Graph& g, std::ostream& out) {
   }
 }
 
+namespace {
+
+/// Largest node count an edge-list header may declare.  The reader
+/// allocates O(n) before it sees a single edge, so an unchecked header
+/// could demand gigabytes (or wrap past NodeId); ten million nodes is
+/// well above any materialized graph the library builds.
+constexpr std::int64_t kMaxEdgeListNodes = 10'000'000;
+
+/// Edges reserved up front at most; a larger (but legal) header grows
+/// the vector as real edge lines arrive instead of trusting the count.
+constexpr std::int64_t kMaxEdgeReserve = 1 << 20;
+
+}  // namespace
+
 Graph read_edge_list(std::istream& in) {
   std::string line;
   auto next_data_line = [&](std::string& into) -> bool {
@@ -44,8 +59,15 @@ Graph read_edge_list(std::istream& in) {
   std::int64_t m = -1;
   LHG_CHECK((header >> n >> m) && n >= 0 && m >= 0,
             "edge list: malformed header '{}'", line);
+  LHG_CHECK(n <= kMaxEdgeListNodes,
+            "edge list: {} nodes exceeds the limit of {}", n,
+            kMaxEdgeListNodes);
+  LHG_CHECK(m <= n * (n - 1) / 2,
+            "edge list: {} edges exceed the {} a simple graph on {} nodes "
+            "can have",
+            m, n * (n - 1) / 2, n);
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
+  edges.reserve(static_cast<std::size_t>(std::min(m, kMaxEdgeReserve)));
   for (std::int64_t i = 0; i < m; ++i) {
     LHG_CHECK(next_data_line(line), "edge list: expected {} edges, got {}",
               m, i);
@@ -53,9 +75,19 @@ Graph read_edge_list(std::istream& in) {
     std::int64_t u = -1;
     std::int64_t v = -1;
     LHG_CHECK((row >> u >> v), "edge list: malformed edge '{}'", line);
+    LHG_CHECK(u >= 0 && u < n && v >= 0 && v < n,
+              "edge list: edge '{}' has an endpoint outside [0, {})", line, n);
     edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
   }
-  return Graph::from_edges(static_cast<NodeId>(n), edges);
+  LHG_CHECK(!next_data_line(line),
+            "edge list: header declares {} edges but more follow ('{}')", m,
+            line);
+  Graph g = Graph::from_edges(static_cast<NodeId>(n), edges);
+  LHG_CHECK(g.num_edges() == m,
+            "edge list: {} edge lines hold only {} distinct edges "
+            "(duplicates)",
+            m, g.num_edges());
+  return g;
 }
 
 std::string to_edge_list_string(const Graph& g) {

@@ -23,7 +23,10 @@ std::string to_dot(const Graph& g, const std::string& name = "G");
 void write_edge_list(const Graph& g, std::ostream& out);
 
 /// Parses the edge-list format.  Throws std::invalid_argument on
-/// malformed input (bad header, out-of-range ids, self-loops).
+/// malformed input: a bad header, more nodes than the reader's limit or
+/// more edges than a simple graph on n nodes can have, out-of-range
+/// ids, self-loops, duplicate edges, or an edge count that disagrees
+/// with the header.
 Graph read_edge_list(std::istream& in);
 
 /// Round-trips through strings (convenience for tests and examples).

@@ -1,7 +1,5 @@
 #include "flooding/event_sim.h"
 
-#include <algorithm>
-
 namespace lhg::flooding {
 
 Simulator::~Simulator() {
@@ -12,11 +10,7 @@ Simulator::~Simulator() {
     for (std::uint32_t i = bucket.head;
          i < static_cast<std::uint32_t>(bucket.events.size()); ++i) {
       const Event& ev = bucket.events[i];
-      if (ev.kind == kCallback) {
-        CallbackPayload& cb =
-            slot(static_cast<std::uint32_t>(ev.link)).callback;
-        cb.destroy(cb.storage);
-      }
+      if (ev.kind == kCallback) slab_.destroy(ev.link);
     }
   }
 }
@@ -38,45 +32,9 @@ void Simulator::enqueue_slow(double time, const Event& ev) {
     b = static_cast<std::uint32_t>(buckets_.size());
     buckets_.push_back(Bucket{time, 0, {}});
   }
-  bucket_heap_push({time, next_bucket_seq_++, b});
+  bucket_heap_.push({time, next_bucket_seq_++, b});
   buckets_[b].events.push_back(ev);
   last_bucket_ = b;
-}
-
-void Simulator::bucket_heap_push(BucketRef ref) {
-  // Hole-based sift-up: parents slide down into the hole and the ref
-  // lands once.
-  std::size_t i = bucket_heap_.size();
-  bucket_heap_.push_back(ref);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!before(ref, bucket_heap_[parent])) break;
-    bucket_heap_[i] = bucket_heap_[parent];
-    i = parent;
-  }
-  bucket_heap_[i] = ref;
-}
-
-void Simulator::bucket_heap_pop() {
-  const BucketRef last = bucket_heap_.back();
-  bucket_heap_.pop_back();
-  const std::size_t n = bucket_heap_.size();
-  if (n == 0) return;
-  // Sift `last` down from the root among up to four children.
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first_child = (i << 2) + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t end = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (before(bucket_heap_[c], bucket_heap_[best])) best = c;
-    }
-    if (!before(bucket_heap_[best], last)) break;
-    bucket_heap_[i] = bucket_heap_[best];
-    i = best;
-  }
-  bucket_heap_[i] = last;
 }
 
 void Simulator::dispatch(const Event& ev) {
@@ -93,10 +51,7 @@ void Simulator::dispatch(const Event& ev) {
   } else {
     // Invoke in place — slab addresses are stable, so events the
     // callback schedules (which may carve new chunks) cannot move it.
-    const auto id = static_cast<std::uint32_t>(ev.link);
-    CallbackPayload& cb = slot(id).callback;
-    cb.invoke(cb.storage);
-    free_slot(id);
+    slab_.invoke(ev.link);
   }
 }
 
@@ -112,7 +67,7 @@ void Simulator::drain_front(double deadline, bool bounded) {
       const Event ev = buckets_[b].events[buckets_[b].head++];
       dispatch(ev);
     }
-    bucket_heap_pop();
+    bucket_heap_.pop();
     if (obs_ != nullptr) {
       obs_->observe(obs_->sim_bucket_events,
                     static_cast<std::int64_t>(buckets_[b].events.size()));

@@ -15,24 +15,25 @@
 //
 //   * Slab free-list callback storage.  Everything else (crashes, link
 //     failures, timers, protocol bootstraps) is a *callback* event
-//     whose callable is stored inline in a pooled 64-byte slot when its
-//     captures fit in kInlineCallbackCapacity bytes; only oversized
-//     captures fall back to the heap (counted, and never hit by in-tree
-//     code).  Slots are carved from chunked slabs with stable addresses
-//     and recycle through a free list, so steady-state traffic performs
-//     zero allocations per event (`slots_created()` exposes the
-//     high-water mark for tests to pin this).
+//     whose callable lives in a pooled CallbackSlab slot (event_core.h,
+//     shared with the sharded engine): inline when its captures fit in
+//     kInlineCallbackCapacity bytes, on the heap (counted, and never hit
+//     by in-tree code) otherwise.  Steady-state traffic recycles slots
+//     through the slab's free list, so it performs zero allocations per
+//     event (`slots_created()` exposes the high-water mark for tests to
+//     pin this).
 //
 //   * Bucket queue.  Pending events live in per-time FIFO buckets; a
-//     cache-friendly 4-ary heap orders only the *distinct* pending
-//     times, not the individual events.  Simulated protocols schedule
-//     in long runs of equal timestamps (every hop of a fixed-latency
-//     flood lands on the same instant), so the common push appends to
-//     the current bucket in O(1) and the common pop is a linear walk —
-//     the O(log pending) heap sift is paid once per time run, not once
-//     per event.  Workloads with all-distinct timestamps (per-send
-//     jitter) degrade gracefully to one-event buckets, i.e. to an
-//     ordinary heap with pooled, recycled bucket storage.
+//     cache-friendly 4-ary heap (EventHeap, event_core.h) orders only
+//     the *distinct* pending times, not the individual events.
+//     Simulated protocols schedule in long runs of equal timestamps
+//     (every hop of a fixed-latency flood lands on the same instant), so
+//     the common push appends to the current bucket in O(1) and the
+//     common pop is a linear walk — the O(log pending) heap sift is paid
+//     once per time run, not once per event.  Workloads with
+//     all-distinct timestamps (per-send jitter) degrade gracefully to
+//     one-event buckets, i.e. to an ordinary heap with pooled, recycled
+//     bucket storage.
 //
 // Determinism contract (unchanged from the std::function engine):
 // events execute in (time, insertion) order, a total order, so a run is
@@ -49,15 +50,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "flooding/event_core.h"
 #include "obs/obs.h"
 
 namespace lhg::flooding {
@@ -67,7 +66,8 @@ class Simulator {
   /// Captures up to this size (and alignment <= max_align_t) are stored
   /// inline in the event slot; larger callables heap-allocate (counted
   /// by `callback_heap_allocations()`).
-  static constexpr std::size_t kInlineCallbackCapacity = 48;
+  static constexpr std::size_t kInlineCallbackCapacity =
+      CallbackSlab<>::kInlineCapacity;
 
   /// Legacy alias; any callable (not just std::function) can be
   /// scheduled.
@@ -108,34 +108,9 @@ class Simulator {
     if constexpr (IsStdFunction<Fn>::value) {
       LHG_CHECK(static_cast<bool>(fn), "Simulator::schedule_at: empty callback");
     }
-    const std::int32_t id = alloc_slot();
-    CallbackPayload& cb = slot(static_cast<std::uint32_t>(id)).callback;
-    if constexpr (sizeof(Fn) <= kInlineCallbackCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(cb.storage)) Fn(std::forward<F>(fn));
-      cb.invoke = [](void* p) {
-        Fn* f = std::launder(reinterpret_cast<Fn*>(p));
-        (*f)();
-        f->~Fn();
-      };
-      cb.destroy = [](void* p) {
-        std::launder(reinterpret_cast<Fn*>(p))->~Fn();
-      };
-    } else {
-      ++callback_heap_allocations_;
-      Fn* owned = new Fn(std::forward<F>(fn));
-      std::memcpy(cb.storage, &owned, sizeof owned);
-      cb.invoke = [](void* p) {
-        Fn* f = *reinterpret_cast<Fn**>(p);
-        (*f)();
-        delete f;
-      };
-      cb.destroy = [](void* p) { delete *reinterpret_cast<Fn**>(p); };
-    }
     Event ev;
     ev.kind = kCallback;
-    ev.link = id;
+    ev.link = slab_.store(std::forward<F>(fn));
     enqueue(time, ev);
   }
 
@@ -189,32 +164,16 @@ class Simulator {
   /// slots through the free list, so this stays flat while events flow;
   /// tests hook it to prove the hot paths perform zero allocations per
   /// event.
-  std::int64_t slots_created() const { return slots_created_; }
+  std::int64_t slots_created() const { return slab_.slots_created(); }
 
   /// Callbacks whose captures exceeded kInlineCallbackCapacity and fell
   /// back to an individual heap allocation.
   std::int64_t callback_heap_allocations() const {
-    return callback_heap_allocations_;
+    return slab_.heap_allocations();
   }
 
  private:
   enum Kind : std::uint32_t { kDeliver = 0, kCallback = 1 };
-
-  struct CallbackPayload {
-    void (*invoke)(void* storage);   // call the callable, then destroy it
-    void (*destroy)(void* storage);  // destroy only (queue teardown)
-    alignas(std::max_align_t) unsigned char storage[kInlineCallbackCapacity];
-  };
-
-  /// One 64-byte callback slot; `next_free` threads the free list
-  /// through vacant slots.
-  struct Slot {
-    union {
-      CallbackPayload callback;
-      std::int32_t next_free;
-    };
-  };
-  static_assert(sizeof(Slot) <= 64, "event slot should stay one cache line");
 
   /// One queued event.  Deliver events carry their whole payload here;
   /// callback events use `link` as the slab slot id and leave
@@ -251,10 +210,6 @@ class Simulator {
   template <typename R, typename... Args>
   struct IsStdFunction<std::function<R(Args...)>> : std::true_type {};
 
-  static bool before(const BucketRef& a, const BucketRef& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  }
-
   void check_time(double time) const {
     LHG_CHECK(time == time && time >= now_,
               "Simulator: time {} is NaN or before now {}", time, now_);
@@ -273,49 +228,19 @@ class Simulator {
 
   void enqueue_slow(double time, const Event& ev);
 
-  static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kNoBucket = 0xffffffffu;
 
-  Slot& slot(std::uint32_t id) {
-    return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
-  }
-
-  std::int32_t alloc_slot() {
-    if (free_head_ >= 0) {
-      const std::int32_t id = free_head_;
-      free_head_ = slot(static_cast<std::uint32_t>(id)).next_free;
-      return id;
-    }
-    const auto id = static_cast<std::int32_t>(slots_created_);
-    if ((static_cast<std::uint32_t>(id) & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    ++slots_created_;
-    return id;
-  }
-
-  void free_slot(std::uint32_t id) {
-    slot(id).next_free = free_head_;
-    free_head_ = static_cast<std::int32_t>(id);
-  }
-
-  void bucket_heap_push(BucketRef ref);
-  void bucket_heap_pop();
   void drain_front(double deadline, bool bounded);
   void dispatch(const Event& ev);  // execute exactly one event
 
   std::vector<Bucket> buckets_;             // pooled; index-stable
   std::vector<std::uint32_t> bucket_free_;  // recycled bucket indices
-  std::vector<BucketRef> bucket_heap_;      // 4-ary min-heap, distinct times
+  EventHeap<BucketRef> bucket_heap_;        // distinct pending times
   std::uint32_t last_bucket_ = kNoBucket;   // append target cache
   std::uint64_t next_bucket_seq_ = 0;
   std::size_t pending_ = 0;
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::int32_t free_head_ = -1;
-  std::int64_t slots_created_ = 0;
-  std::int64_t callback_heap_allocations_ = 0;
+  CallbackSlab<> slab_;
   double now_ = 0.0;
   std::int64_t processed_ = 0;
   const obs::SimObs* obs_ = nullptr;

@@ -181,14 +181,14 @@ inline std::vector<std::size_t> pair_crash_recoveries(
 /// immediately (before the first protocol event), later ones are
 /// scheduled at their absolute times.  Works with any overlay the
 /// network is parameterized over (plans only address nodes and links),
-/// and with either network engine — `Net` is any type exposing the
-/// BasicNetwork mutator surface (`ShardedNetwork` mirrors it; its timed
-/// mutators schedule control events instead of callbacks, shard_net.h).
+/// and with either network engine — both inherit the one mutator
+/// surface of FaultModel (fault_model.h); on the sharded engine its
+/// timed mutators schedule control events instead of callbacks.
 ///
 /// Timed windows are overlap-safe: each recovery is paired with the
 /// earliest preceding crash of its node and each flap restore with its
-/// own failure, both epoch-guarded (network.h), so composed plans whose
-/// windows overlap keep state down until the *latest* window ends
+/// own failure, both epoch-guarded (fault_model.h), so composed plans
+/// whose windows overlap keep state down until the *latest* window ends
 /// instead of letting the first window's end-event revive it; the same
 /// guard protects partition windows from stale clears.
 template <typename Net>

@@ -43,8 +43,9 @@ inline void finalize_dissemination(DisseminationResult& result,
   }
 }
 
-template <typename Topology>
-std::vector<bool> alive_mask(const BasicNetwork<Topology>& net) {
+/// Per-node liveness at the end of a run, from either network.
+template <typename Net>
+std::vector<bool> alive_mask(const Net& net) {
   std::vector<bool> alive(
       static_cast<std::size_t>(net.topology().num_nodes()));
   for (core::NodeId u = 0; u < net.topology().num_nodes(); ++u) {
@@ -120,11 +121,7 @@ DisseminationResult sharded_flood(const Topology& topology,
   result.net = net.stats();
   result.metrics = obs_rt.metrics_snapshot();
   result.trace = obs_rt.trace_log();
-  std::vector<bool> alive(n);
-  for (NodeId u = 0; u < topology.num_nodes(); ++u) {
-    alive[static_cast<std::size_t>(u)] = net.is_alive(u);
-  }
-  detail::finalize_dissemination(result, alive);
+  detail::finalize_dissemination(result, detail::alive_mask(net));
   return result;
 }
 

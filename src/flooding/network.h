@@ -1,17 +1,15 @@
-// Message-passing network over a fixed overlay topology.
+// Message-passing network over a fixed overlay topology, on the
+// single-queue Simulator.
 //
-// Nodes communicate only along the edges of an overlay graph; the
-// network owns crash/recovery state, link failures and flaps, partition
-// windows, per-link latencies, the adversarial channel model (ChaosSpec)
-// and the robustness counters (NetworkStats).  A message sent at time t
-// arrives at t + latency(link) unless it is dropped by the channel, or,
-// at the *delivery* instant, the receiver is crashed, the link is down,
-// or an active partition separates the endpoints.  A sender crash only
-// blocks *future* sends: under fail-stop, copies already in flight when
-// the sender dies still arrive (pinned by the regression tests in
-// test_network.cc).  Crash-recovery is symmetric: recover_* clears the
-// crash flag, so copies that would arrive during the down window are
-// lost while later arrivals (and later sends) succeed.
+// Nodes communicate only along the edges of an overlay graph.  The
+// fault model — crash/recovery, link failures and flaps, partition
+// windows, per-link latencies, the adversarial channel (ChaosSpec) and
+// the robustness counters (NetworkStats) — is FaultModel
+// (fault_model.h), shared with ShardedNetwork; its header states the
+// semantics and the Rng draw order.  This class binds it to the
+// Simulator: timed mutators are ordinary callback events, every chaos
+// draw comes from the one generator passed in (so a run consumes it in
+// global execution order), and the Gilbert–Elliott chain is per link.
 //
 // The overlay is a template parameter: `BasicNetwork<Topology>` needs
 // only `num_nodes()`, `num_edges()` and `edge_index(u, v)` from it, so
@@ -21,191 +19,42 @@
 //
 // All per-link state is edge-indexed: `edge_index` maps {u,v} to a
 // dense id once per send, and latencies / failure flags / channel
-// states are flat vectors over those ids.  For kUniformPerLink the
-// latencies are drawn up front, one per link in canonical edge order,
-// so the send path is branch-light and allocation-free; deliveries ride
-// the Simulator's typed deliver events straight back into this class.
-//
-// Rng consumption order per transmission (the determinism contract — a
-// disabled knob consumes no draws, so chaos-free runs reproduce the
-// golden traces bit for bit):
-//   1. Gilbert–Elliott state transition, if enabled (one draw);
-//   2. the loss draw (i.i.d. probability, or the GE state's);
-//   3. the duplication draw, if duplication is enabled;
-//   4. per scheduled copy: the latency sample (kUniformPerSend only),
-//      then the reorder draw and, when it hits, the extra-delay draw.
+// states are flat vectors over those ids, so the send path is
+// branch-light and allocation-free; deliveries ride the Simulator's
+// typed deliver events straight back into this class.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "core/check.h"
 #include "core/graph.h"
 #include "core/rng.h"
 #include "flooding/event_sim.h"
+#include "flooding/fault_model.h"
 
 namespace lhg::flooding {
 
-/// How link latencies are produced.
-struct LatencySpec {
-  enum class Kind {
-    kFixed,           ///< every message takes `base`
-    kUniformPerLink,  ///< each link samples once in [base, base+jitter]
-    kUniformPerSend,  ///< each message samples in [base, base+jitter]
-  };
-  Kind kind = Kind::kFixed;
-  double base = 1.0;
-  double jitter = 0.0;
-
-  static LatencySpec fixed(double value) { return {Kind::kFixed, value, 0.0}; }
-  static LatencySpec per_link(double base, double jitter) {
-    return {Kind::kUniformPerLink, base, jitter};
-  }
-  static LatencySpec per_send(double base, double jitter) {
-    return {Kind::kUniformPerSend, base, jitter};
-  }
-};
-
-/// Adversarial channel model, applied per transmission.  All knobs
-/// default off, in which case the Network consumes no Rng draws on the
-/// send path (the golden-trace determinism contract).
-struct ChaosSpec {
-  /// I.i.d. per-transmission drop probability in [0, 1).  Ignored when
-  /// the Gilbert–Elliott channel is enabled.
-  double loss = 0.0;
-
-  /// Probability that a transmission is duplicated (two independent
-  /// copies are delivered; both count the same send).
-  double duplicate = 0.0;
-
-  /// Probability that a delivered copy picks up extra delay, uniform in
-  /// [0, reorder_jitter] — out-of-order delivery relative to FIFO links.
-  double reorder = 0.0;
-  double reorder_jitter = 0.0;
-
-  /// Gilbert–Elliott bursty channel: each link is a two-state Markov
-  /// chain advanced once per transmission; the loss probability depends
-  /// on the state.  Models correlated (bursty) loss.
-  bool gilbert_elliott = false;
-  double ge_good_to_bad = 0.05;  ///< P(good -> bad) per transmission
-  double ge_bad_to_good = 0.25;  ///< P(bad -> good) per transmission
-  double ge_loss_good = 0.0;     ///< drop probability in the good state
-  double ge_loss_bad = 0.5;      ///< drop probability in the bad state
-
-  static ChaosSpec none() { return {}; }
-  static ChaosSpec iid(double p) {
-    ChaosSpec c;
-    c.loss = p;
-    return c;
-  }
-  static ChaosSpec bursty(double good_to_bad, double bad_to_good,
-                          double loss_bad) {
-    ChaosSpec c;
-    c.gilbert_elliott = true;
-    c.ge_good_to_bad = good_to_bad;
-    c.ge_bad_to_good = bad_to_good;
-    c.ge_loss_bad = loss_bad;
-    return c;
-  }
-
-  bool lossy() const { return loss > 0.0 || gilbert_elliott; }
-  bool enabled() const {
-    return lossy() || duplicate > 0.0 || reorder > 0.0;
-  }
-};
-
-/// Robustness counters.  `sent` counts transmission attempts accepted by
-/// send()/send_link(); every accepted transmission ends in exactly one
-/// of {delivered, lost, dropped_*} per scheduled copy, and `duplicated`
-/// counts the extra copies on top.
-struct NetworkStats {
-  std::int64_t sent = 0;        ///< accepted transmissions
-  std::int64_t delivered = 0;   ///< copies handed to the receive handler
-  std::int64_t lost = 0;        ///< copies dropped by the loss model
-  std::int64_t duplicated = 0;  ///< extra copies injected by duplication
-
-  std::int64_t blocked_sender_crashed = 0;  ///< sends refused: dead sender
-  std::int64_t blocked_link_down = 0;       ///< sends refused: link down
-  std::int64_t blocked_partition = 0;       ///< sends refused: cut crossing
-
-  std::int64_t dropped_receiver_crashed = 0;  ///< in flight, receiver dead
-  std::int64_t dropped_link_down = 0;         ///< in flight, link cut
-  std::int64_t dropped_partition = 0;         ///< in flight, cut activated
-
-  /// In-flight copies that never reached the handler, any cause.
-  std::int64_t undelivered() const {
-    return lost + dropped_receiver_crashed + dropped_link_down +
-           dropped_partition;
-  }
-};
-
-namespace detail {
-
-inline void check_probability(double p, const char* what) {
-  LHG_CHECK(p >= 0.0 && p < 1.0, "Network: {} probability {} must be in [0, 1)",
-            what, p);
-}
-
-}  // namespace detail
-
 template <typename Topology>
-class BasicNetwork final : private Simulator::DeliverSink {
+class BasicNetwork final : public FaultModel<Topology, BasicNetwork<Topology>>,
+                           private Simulator::DeliverSink {
+  using Base = FaultModel<Topology, BasicNetwork>;
+  friend Base;
+
  public:
   /// `topology` and `sim` must outlive the network.  `rng` is consumed
   /// for latency sampling and chaos draws (may be shared with the
   /// caller); with kUniformPerLink every link's latency is drawn here,
   /// in canonical edge order.
   BasicNetwork(const Topology& topology, Simulator& sim, LatencySpec latency,
-               core::Rng& rng, const ChaosSpec& chaos)
-      : topology_(&topology),
+               core::Rng& rng, const ChaosSpec& chaos = {})
+      : Base(topology, latency, rng, chaos,
+             static_cast<std::size_t>(topology.num_edges())),
         sim_(&sim),
-        latency_(latency),
-        rng_(&rng),
-        chaos_(chaos),
-        crashed_(static_cast<std::size_t>(topology.num_nodes()), 0),
-        alive_count_(topology.num_nodes()),
-        link_failed_(static_cast<std::size_t>(topology.num_edges()), 0) {
-    LHG_CHECK(latency.base >= 0 && latency.jitter >= 0,
-              "Network: negative latency (base={}, jitter={})", latency.base,
-              latency.jitter);
-    detail::check_probability(chaos.loss, "loss");
-    detail::check_probability(chaos.duplicate, "duplicate");
-    detail::check_probability(chaos.reorder, "reorder");
-    LHG_CHECK(chaos.reorder_jitter >= 0.0,
-              "Network: negative reorder jitter {}", chaos.reorder_jitter);
-    if (chaos.gilbert_elliott) {
-      detail::check_probability(chaos.ge_good_to_bad, "GE good->bad");
-      detail::check_probability(chaos.ge_bad_to_good, "GE bad->good");
-      detail::check_probability(chaos.ge_loss_good, "GE good-state loss");
-      detail::check_probability(chaos.ge_loss_bad, "GE bad-state loss");
-      // Every link starts in the good state.
-      link_bad_.assign(static_cast<std::size_t>(topology.num_edges()), 0);
-    }
-    if (latency.kind == LatencySpec::Kind::kUniformPerLink) {
-      // Draw every link's latency up front, in canonical edge order (the
-      // pinned consumption order of the determinism contract); send()
-      // then reduces to a flat load.
-      link_latency_.resize(static_cast<std::size_t>(topology.num_edges()));
-      for (double& l : link_latency_) {
-        l = latency.base + latency.jitter * rng.next_double();
-      }
-    }
-  }
+        rng_(&rng) {}
 
-  /// Back-compat convenience: `loss_probability` is ChaosSpec::iid.
-  BasicNetwork(const Topology& topology, Simulator& sim, LatencySpec latency,
-               core::Rng& rng, double loss_probability = 0.0)
-      : BasicNetwork(topology, sim, latency, rng,
-                     ChaosSpec::iid(loss_probability)) {}
-
-  // In-flight deliver events hold a pointer to this network.
-  BasicNetwork(const BasicNetwork&) = delete;
-  BasicNetwork& operator=(const BasicNetwork&) = delete;
-
-  const Topology& topology() const { return *topology_; }
   Simulator& simulator() { return *sim_; }
 
   /// Observability tap (may be null; default).  Mirrors NetworkStats
@@ -221,189 +70,13 @@ class BasicNetwork final : private Simulator::DeliverSink {
     on_receive_ = std::move(handler);
   }
 
-  /// Crashes `node` immediately (fail-stop; in-flight messages *from* it
-  /// sent before the crash still arrive, later sends are dropped).
-  /// Every call — including one on an already-crashed node — advances
-  /// the node's crash epoch, so pending windowed recoveries for earlier
-  /// crashes of the node are invalidated (see `crash_windowed`).
-  void crash_now(core::NodeId node) {
-    LHG_CHECK_RANGE(node, topology_->num_nodes());
-    bump_crash_epoch(node);
-    if (crashed_[static_cast<std::size_t>(node)] == 0) {
-      crashed_[static_cast<std::size_t>(node)] = 1;
-      --alive_count_;
-      if (obs_ != nullptr) {
-        obs_->event(sim_->now(), obs::TraceKind::kCrash, node);
-      }
-    }
-  }
-
-  /// Schedules a crash at absolute virtual time `at`.
-  void crash_at(core::NodeId node, double at) {
-    sim_->schedule_at(at, [this, node] { crash_now(node); });
-  }
-
-  /// Crash-recovery model: the node comes back with no protocol state
-  /// (state restoration is the protocol's problem, not the network's).
-  /// Copies that arrived during the down window stay lost; arrivals and
-  /// sends after the recovery instant succeed.  Idempotent.
-  void recover_now(core::NodeId node) {
-    LHG_CHECK_RANGE(node, topology_->num_nodes());
-    if (crashed_[static_cast<std::size_t>(node)] != 0) {
-      crashed_[static_cast<std::size_t>(node)] = 0;
-      ++alive_count_;
-      if (obs_ != nullptr) {
-        obs_->event(sim_->now(), obs::TraceKind::kRecover, node);
-      }
-    }
-  }
-  void recover_at(core::NodeId node, double at) {
-    sim_->schedule_at(at, [this, node] { recover_now(node); });
-  }
-
-  /// Overlap-safe crash/recovery window.  Crashes `node` at `down`
-  /// (immediately when down <= 0) and returns a window token; the
-  /// matching `recover_windowed(node, up, token)` recovers the node at
-  /// `up` only if this window's crash is still the node's most recent
-  /// one.  A later crash — from another window or a direct
-  /// `crash_now` — advances the epoch, so the stale recovery becomes a
-  /// no-op instead of reviving a node someone else just took down.
-  std::size_t crash_windowed(core::NodeId node, double down) {
-    const std::size_t w = new_window();
-    if (down <= 0.0) {
-      crash_now(node);
-      window_epoch_[w] = crash_epoch_of(node);
-    } else {
-      sim_->schedule_at(down, [this, node, w] {
-        crash_now(node);
-        window_epoch_[w] = crash_epoch_of(node);
-      });
-    }
-    return w;
-  }
-  void recover_windowed(core::NodeId node, double up, std::size_t window) {
-    LHG_CHECK(window < window_epoch_.size(),
-              "recover_windowed: bad window token {}", window);
-    sim_->schedule_at(up, [this, node, w = window] {
-      if (crash_epoch_of(node) == window_epoch_[w]) recover_now(node);
-    });
-  }
-
-  /// Fails the link {u, v} immediately / at time `at`.  Messages in
-  /// flight on the link at failure time are lost.  Like `crash_now`,
-  /// every call advances the link's failure epoch, invalidating pending
-  /// windowed restores from earlier failure windows.
-  void fail_link_now(core::NodeId u, core::NodeId v) {
-    const std::int32_t link = topology_->edge_index(u, v);
-    LHG_CHECK(link >= 0, "fail_link: ({}, {}) not a link", u, v);
-    bump_link_epoch(link);
-    link_failed_[static_cast<std::size_t>(link)] = 1;
-  }
-  void fail_link_at(core::NodeId u, core::NodeId v, double at) {
-    sim_->schedule_at(at, [this, u, v] { fail_link_now(u, v); });
-  }
-
-  /// Overlap-safe link flap window, mirroring `crash_windowed`: the
-  /// restore at `up` fires only while this window's failure is still the
-  /// link's most recent one.
-  std::size_t fail_link_windowed(core::NodeId u, core::NodeId v, double down) {
-    const std::int32_t link = topology_->edge_index(u, v);
-    LHG_CHECK(link >= 0, "fail_link: ({}, {}) not a link", u, v);
-    const std::size_t w = new_window();
-    if (down <= 0.0) {
-      bump_link_epoch(link);
-      link_failed_[static_cast<std::size_t>(link)] = 1;
-      window_epoch_[w] = link_epoch_of(link);
-    } else {
-      sim_->schedule_at(down, [this, u, v, w] {
-        fail_link_now(u, v);
-        window_epoch_[w] = link_epoch_of(topology_->edge_index(u, v));
-      });
-    }
-    return w;
-  }
-  void restore_link_windowed(core::NodeId u, core::NodeId v, double up,
-                             std::size_t window) {
-    LHG_CHECK(window < window_epoch_.size(),
-              "restore_link_windowed: bad window token {}", window);
-    sim_->schedule_at(up, [this, u, v, w = window] {
-      const std::int32_t link = topology_->edge_index(u, v);
-      if (link_epoch_of(link) == window_epoch_[w]) restore_link_now(u, v);
-    });
-  }
-
-  /// Brings a failed link back up (a "flap" is fail_link_at + this).
-  /// Idempotent.
-  void restore_link_now(core::NodeId u, core::NodeId v) {
-    const std::int32_t link = topology_->edge_index(u, v);
-    LHG_CHECK(link >= 0, "restore_link: ({}, {}) not a link", u, v);
-    link_failed_[static_cast<std::size_t>(link)] = 0;
-  }
-  void restore_link_at(core::NodeId u, core::NodeId v, double at) {
-    sim_->schedule_at(at, [this, u, v] { restore_link_now(u, v); });
-  }
-
-  /// Activates a bipartition: `side` maps every node to 0 or 1, and
-  /// while active every transmission whose endpoints disagree is
-  /// blocked at send time and dropped at delivery time.  One partition
-  /// is active at a time (a new call replaces the old cut and advances
-  /// the partition epoch, invalidating scheduled window clears for the
-  /// replaced cut).
-  void set_partition(std::vector<std::uint8_t> side) {
-    LHG_CHECK(static_cast<core::NodeId>(side.size()) == topology_->num_nodes(),
-              "partition: side map has {} entries for n={}", side.size(),
-              topology_->num_nodes());
-    for (const std::uint8_t s : side) {
-      LHG_CHECK(s <= 1, "partition: side {} is not 0 or 1", s);
-    }
-    partition_side_ = std::move(side);
-    partition_active_ = true;
-    ++partition_epoch_;
-  }
-  void clear_partition() { partition_active_ = false; }
-  bool partition_active() const { return partition_active_; }
-
-  /// Schedules the partition for the window [start, end).  The clear at
-  /// `end` is epoch-guarded: if another partition replaces this one
-  /// mid-window, the stale clear no longer dissolves the new cut.
-  void partition_during(std::vector<std::uint8_t> side, double start,
-                        double end) {
-    LHG_CHECK(start < end, "partition: empty window [{}, {})", start, end);
-    const std::size_t w = new_window();
-    sim_->schedule_at(start, [this, w, side = std::move(side)]() mutable {
-      set_partition(std::move(side));
-      window_epoch_[w] = partition_epoch_;
-    });
-    sim_->schedule_at(end, [this, w] {
-      if (partition_epoch_ == window_epoch_[w]) clear_partition();
-    });
-  }
-
-  /// Activates `side` immediately and schedules the epoch-guarded clear
-  /// at `end` — the immediate-start form of `partition_during`.
-  void partition_until(std::vector<std::uint8_t> side, double end) {
-    set_partition(std::move(side));
-    sim_->schedule_at(end, [this, e = partition_epoch_] {
-      if (partition_epoch_ == e) clear_partition();
-    });
-  }
-
-  bool is_alive(core::NodeId node) const {
-    return crashed_[static_cast<std::size_t>(node)] == 0;
-  }
-  bool link_ok(core::NodeId u, core::NodeId v) const {
-    const std::int32_t link = topology_->edge_index(u, v);
-    return link >= 0 && link_failed_[static_cast<std::size_t>(link)] == 0;
-  }
-  std::int32_t alive_count() const { return alive_count_; }
-
   /// Sends `message` from `from` to its neighbor `to`.  Throws if the
   /// nodes are not adjacent in the topology.  Returns false (and sends
   /// nothing) if the sender is crashed, the link is down, or an active
   /// partition separates the endpoints.  Counts one message on every
   /// actual transmission attempt.
   bool send(core::NodeId from, core::NodeId to, std::int64_t message) {
-    const std::int32_t link = topology_->edge_index(from, to);
+    const std::int32_t link = this->topology().edge_index(from, to);
     LHG_CHECK(link >= 0, "send: ({}, {}) is not a link of the overlay", from,
               to);
     return send_link(from, to, link, message);
@@ -415,44 +88,13 @@ class BasicNetwork final : private Simulator::DeliverSink {
   /// semantics to send(), minus the O(log deg) adjacency search.
   bool send_link(core::NodeId from, core::NodeId to, std::int32_t link,
                  std::int64_t message) {
-    LHG_DCHECK(link == topology_->edge_index(from, to),
+    LHG_DCHECK(link == this->topology().edge_index(from, to),
                "send_link: {} is not the edge id of ({}, {})", link, from, to);
-    if (crashed_[static_cast<std::size_t>(from)] != 0) {
-      ++stats_.blocked_sender_crashed;
-      blocked(from, to, obs::DropCause::kBlockedSenderCrashed);
-      return false;
-    }
-    if (link_failed_[static_cast<std::size_t>(link)] != 0) {
-      ++stats_.blocked_link_down;
-      blocked(from, to, obs::DropCause::kBlockedLinkDown);
-      return false;
-    }
-    if (partition_cuts(from, to)) {
-      ++stats_.blocked_partition;
-      blocked(from, to, obs::DropCause::kBlockedPartition);
-      return false;
-    }
-    ++stats_.sent;
-    if (obs_ != nullptr) {
-      obs_->add(obs_->net_sent);
-      obs_->event(sim_->now(), obs::TraceKind::kSend, from, to, link);
-    }
-    if (channel_drops(link)) {
-      ++stats_.lost;  // transmitted but dropped on the wire
-      if (obs_ != nullptr) {
-        obs_->add(obs_->net_lost);
-        obs_->event(sim_->now(), obs::TraceKind::kDrop, from, to,
-                    static_cast<std::int64_t>(obs::DropCause::kChannelLoss));
-      }
-      return true;
-    }
-    schedule_copy(from, to, link, message);
-    if (chaos_.duplicate > 0.0 && rng_->next_bool(chaos_.duplicate)) {
-      ++stats_.duplicated;
-      if (obs_ != nullptr) obs_->add(obs_->net_duplicated);
-      schedule_copy(from, to, link, message);
-    }
-    return true;
+    return this->transmit(
+        stats_, obs_, sim_->now(), from, to, link,
+        static_cast<std::size_t>(link), [&](double delay) {
+          sim_->schedule_deliver_in(delay, this, from, to, link, message);
+        });
   }
 
   /// Robustness counters (see NetworkStats).
@@ -467,147 +109,30 @@ class BasicNetwork final : private Simulator::DeliverSink {
   // Typed-event entry point: delivery-instant checks, then the handler.
   void on_deliver(std::int32_t from, std::int32_t to, std::int32_t link,
                   std::int64_t message) override {
-    // Delivery checks at arrival time: receiver must be alive, the link
-    // must still be up, and no active partition may separate the
-    // endpoints (a message in flight when its link fails or the cut
-    // activates is lost, modeling a cut trunk).  The sender's state is
-    // irrelevant here — it was alive at send time or send() refused.
-    if (crashed_[static_cast<std::size_t>(to)] != 0) {
-      ++stats_.dropped_receiver_crashed;
-      dropped(from, to, obs::DropCause::kReceiverCrashed);
-      return;
+    if (this->admit_delivery(stats_, obs_, sim_->now(), from, to, link) &&
+        on_receive_) {
+      on_receive_(to, from, message);
     }
-    if (link_failed_[static_cast<std::size_t>(link)] != 0) {
-      ++stats_.dropped_link_down;
-      dropped(from, to, obs::DropCause::kLinkDown);
-      return;
-    }
-    if (partition_cuts(from, to)) {
-      ++stats_.dropped_partition;
-      dropped(from, to, obs::DropCause::kPartition);
-      return;
-    }
-    ++stats_.delivered;
-    if (obs_ != nullptr) {
-      obs_->add(obs_->net_delivered);
-      obs_->event(sim_->now(), obs::TraceKind::kDeliver, to, from, link);
-    }
-    if (on_receive_) on_receive_(to, from, message);
   }
 
-  double sample_latency(std::int32_t link) {
-    switch (latency_.kind) {
-      case LatencySpec::Kind::kFixed:
-        return latency_.base;
-      case LatencySpec::Kind::kUniformPerLink:
-        return link_latency_[static_cast<std::size_t>(link)];
-      case LatencySpec::Kind::kUniformPerSend:
-        return latency_.base + latency_.jitter * rng_->next_double();
-    }
-    LHG_CHECK(false, "Network: unknown latency kind {}",
-              static_cast<int>(latency_.kind));
+  // --- FaultModel hooks ---------------------------------------------------
+  template <typename F>
+  void schedule_serial(double at, F&& fn) {
+    sim_->schedule_at(at, std::forward<F>(fn));
   }
+  // Every event of the single queue runs serially.
+  void check_serial_phase(const char* /*what*/) const {}
+  void trace_fault(obs::TraceKind kind, core::NodeId node) const {
+    if (obs_ != nullptr) obs_->event(sim_->now(), kind, node);
+  }
+  // One generator for every channel: draws in global execution order.
+  core::Rng& channel_rng(std::size_t /*link*/) { return *rng_; }
 
-  // Advances the channel for one transmission; true = the copy drops.
-  bool channel_drops(std::int32_t link) {
-    if (chaos_.gilbert_elliott) {
-      auto& bad = link_bad_[static_cast<std::size_t>(link)];
-      // Advance the two-state chain once per transmission, then draw the
-      // loss with the new state's probability.
-      if (bad == 0) {
-        if (rng_->next_bool(chaos_.ge_good_to_bad)) bad = 1;
-      } else {
-        if (rng_->next_bool(chaos_.ge_bad_to_good)) bad = 0;
-      }
-      const double p = bad != 0 ? chaos_.ge_loss_bad : chaos_.ge_loss_good;
-      return p > 0.0 && rng_->next_bool(p);
-    }
-    return chaos_.loss > 0.0 && rng_->next_bool(chaos_.loss);
-  }
-
-  // Schedules one delivery copy (latency + optional reorder jitter).
-  void schedule_copy(core::NodeId from, core::NodeId to, std::int32_t link,
-                     std::int64_t message) {
-    double delay = sample_latency(link);
-    if (chaos_.reorder > 0.0 && rng_->next_bool(chaos_.reorder)) {
-      delay += chaos_.reorder_jitter * rng_->next_double();
-    }
-    if (obs_ != nullptr) {
-      obs_->observe(obs_->net_delay, obs::SimObs::milli_ticks(delay));
-    }
-    sim_->schedule_deliver_in(delay, this, from, to, link, message);
-  }
-
-  // Cold-path obs recording for refused sends / dropped copies.
-  void blocked(core::NodeId from, core::NodeId to, obs::DropCause cause) {
-    if (obs_ == nullptr) return;
-    obs_->add(obs_->net_blocked);
-    obs_->event(sim_->now(), obs::TraceKind::kDrop, from, to,
-                static_cast<std::int64_t>(cause));
-  }
-  void dropped(core::NodeId from, core::NodeId to, obs::DropCause cause) {
-    if (obs_ == nullptr) return;
-    obs_->add(obs_->net_dropped);
-    obs_->event(sim_->now(), obs::TraceKind::kDrop, from, to,
-                static_cast<std::int64_t>(cause));
-  }
-
-  bool partition_cuts(core::NodeId u, core::NodeId v) const {
-    return partition_active_ &&
-           partition_side_[static_cast<std::size_t>(u)] !=
-               partition_side_[static_cast<std::size_t>(v)];
-  }
-
-  // --- Mutation epochs (overlap-safe timed windows) ---------------------
-  // Every crash / link-failure / set_partition call advances an epoch;
-  // a windowed end-event captures the epoch its own start produced and
-  // fires only while it still matches, so a window whose state was
-  // replaced mid-flight cannot clobber the replacement.  The per-node /
-  // per-link vectors are lazily allocated: failure-free runs pay nothing.
-  void bump_crash_epoch(core::NodeId node) {
-    if (crash_epoch_.empty()) {
-      crash_epoch_.assign(static_cast<std::size_t>(topology_->num_nodes()), 0);
-    }
-    ++crash_epoch_[static_cast<std::size_t>(node)];
-  }
-  std::uint64_t crash_epoch_of(core::NodeId node) const {
-    return crash_epoch_.empty() ? 0
-                                : crash_epoch_[static_cast<std::size_t>(node)];
-  }
-  void bump_link_epoch(std::int32_t link) {
-    if (link_epoch_.empty()) {
-      link_epoch_.assign(static_cast<std::size_t>(topology_->num_edges()), 0);
-    }
-    ++link_epoch_[static_cast<std::size_t>(link)];
-  }
-  std::uint64_t link_epoch_of(std::int32_t link) const {
-    return link_epoch_.empty() ? 0
-                               : link_epoch_[static_cast<std::size_t>(link)];
-  }
-  std::size_t new_window() {
-    window_epoch_.push_back(0);
-    return window_epoch_.size() - 1;
-  }
-
-  const Topology* topology_;
   Simulator* sim_;
-  LatencySpec latency_;
   core::Rng* rng_;
-  ChaosSpec chaos_;
   NetworkStats stats_;
   const obs::SimObs* obs_ = nullptr;
   ReceiveHandler on_receive_;
-  std::vector<std::uint8_t> crashed_;  // byte-wide: hot-path loads, no bit ops
-  std::int32_t alive_count_ = 0;
-  std::vector<double> link_latency_;      // per edge id (kUniformPerLink)
-  std::vector<std::uint8_t> link_failed_;  // per edge id
-  std::vector<std::uint8_t> link_bad_;     // per edge id: GE channel state
-  std::vector<std::uint8_t> partition_side_;  // per node; empty until set
-  bool partition_active_ = false;
-  std::vector<std::uint64_t> crash_epoch_;   // per node; lazy
-  std::vector<std::uint64_t> link_epoch_;    // per edge id; lazy
-  std::uint64_t partition_epoch_ = 0;
-  std::vector<std::uint64_t> window_epoch_;  // one slot per windowed call
 };
 
 /// The canonical materialized-overlay instantiation (the only one most

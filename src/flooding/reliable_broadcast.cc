@@ -1,9 +1,8 @@
 #include "flooding/reliable_broadcast.h"
 
-#include <algorithm>
-
 #include "core/check.h"
 #include "core/rng.h"
+#include "flooding/flood_generic.h"
 #include "flooding/network.h"
 #include "flooding/reliable_link.h"
 
@@ -21,10 +20,7 @@ ReliableBroadcastResult reliable_broadcast(const core::Graph& topology,
 
   Simulator sim;
   core::Rng rng(cfg.seed);
-  const ChaosSpec chaos = cfg.chaos.enabled()
-                              ? cfg.chaos
-                              : ChaosSpec::iid(cfg.loss_probability);
-  Network net(topology, sim, cfg.latency, rng, chaos);
+  Network net(topology, sim, cfg.latency, rng, cfg.chaos);
   obs::Runtime obs_rt(cfg.obs);
   sim.set_obs(obs_rt.obs());
   net.set_obs(obs_rt.obs());
@@ -80,21 +76,7 @@ ReliableBroadcastResult reliable_broadcast(const core::Graph& topology,
   result.window_overflows = link.window_overflows();
   result.metrics = obs_rt.metrics_snapshot();
   result.trace = obs_rt.trace_log();
-  result.alive_nodes = 0;
-  result.delivered_alive = 0;
-  for (NodeId u = 0; u < topology.num_nodes(); ++u) {
-    if (!net.is_alive(u)) continue;
-    ++result.alive_nodes;
-    if (result.delivery_time[static_cast<std::size_t>(u)] >= 0.0) {
-      ++result.delivered_alive;
-      result.completion_time = std::max(
-          result.completion_time,
-          result.delivery_time[static_cast<std::size_t>(u)]);
-      result.completion_hops = std::max(
-          result.completion_hops,
-          result.delivery_hops[static_cast<std::size_t>(u)]);
-    }
-  }
+  detail::finalize_dissemination(result, detail::alive_mask(net));
   return result;
 }
 

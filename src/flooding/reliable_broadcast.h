@@ -29,11 +29,8 @@ struct ReliableBroadcastConfig {
   LatencySpec latency = LatencySpec::fixed(1.0);
   std::uint64_t seed = 1;
 
-  /// Per-transmission drop probability in [0, 1).  Ignored when `chaos`
-  /// is enabled (which subsumes it).
-  double loss_probability = 0.0;
-  /// Full adversarial channel; when enabled() it replaces
-  /// `loss_probability`.
+  /// Adversarial channel; `ChaosSpec::iid(p)` is plain per-transmission
+  /// loss with probability p.
   ChaosSpec chaos{};
 
   /// Virtual-time gap before the first retransmission of an unACKed

@@ -34,19 +34,11 @@ void ShardedSimulator::destroy_pending_callbacks() {
   for (Shard& sh : shards_) {
     for (const BucketRef& ref : sh.heap) {
       for (const Event& ev : sh.buckets[ref.bucket].events) {
-        if (ev.kind == kCallback) {
-          CallbackPayload& cb =
-              shard_slot(sh, static_cast<std::uint32_t>(ev.link)).callback;
-          cb.destroy(cb.storage);
-        }
+        if (ev.kind == kCallback) sh.slab.destroy(ev.link);
       }
     }
   }
-  for (const ControlRef& ref : control_) {
-    CallbackPayload& cb =
-        env_slot(static_cast<std::uint32_t>(ref.slot)).callback;
-    cb.destroy(cb.storage);
-  }
+  for (const ControlRef& ref : control_) control_slab_.destroy(ref.slot);
 }
 
 void ShardedSimulator::enqueue(Shard& sh, double time, const Event& ev) {
@@ -79,40 +71,9 @@ void ShardedSimulator::enqueue_slow(Shard& sh, double time, const Event& ev) {
     b = static_cast<std::uint32_t>(sh.buckets.size());
     sh.buckets.push_back(Bucket{time, {}});
   }
-  heap_push(sh, BucketRef{time, sh.next_bucket_seq++, b});
+  sh.heap.push(BucketRef{time, sh.next_bucket_seq++, b});
   sh.buckets[b].events.push_back(ev);
   sh.last_bucket = b;
-}
-
-void ShardedSimulator::heap_push(Shard& sh, BucketRef ref) {
-  std::size_t i = sh.heap.size();
-  sh.heap.push_back(ref);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 1;
-    if (!ref_before(ref, sh.heap[parent])) break;
-    sh.heap[i] = sh.heap[parent];
-    i = parent;
-  }
-  sh.heap[i] = ref;
-}
-
-void ShardedSimulator::heap_pop(Shard& sh) {
-  const BucketRef last = sh.heap.back();
-  sh.heap.pop_back();
-  const std::size_t n = sh.heap.size();
-  if (n == 0) return;
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t left = (i << 1) + 1;
-    if (left >= n) break;
-    std::size_t best = left;
-    const std::size_t right = left + 1;
-    if (right < n && ref_before(sh.heap[right], sh.heap[left])) best = right;
-    if (!ref_before(sh.heap[best], last)) break;
-    sh.heap[i] = sh.heap[best];
-    i = best;
-  }
-  sh.heap[i] = last;
 }
 
 void ShardedSimulator::late_push(Shard& sh, const Event& ev) {
@@ -127,41 +88,6 @@ ShardedSimulator::Event ShardedSimulator::late_pop(Shard& sh) {
   const Event ev = sh.late.back();
   sh.late.pop_back();
   return ev;
-}
-
-void ShardedSimulator::control_heap_sift_up() {
-  std::size_t i = control_.size() - 1;
-  const ControlRef ref = control_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 1;
-    const ControlRef& p = control_[parent];
-    if (p.time < ref.time || (p.time == ref.time && p.seq < ref.seq)) break;
-    control_[i] = p;
-    i = parent;
-  }
-  control_[i] = ref;
-}
-
-void ShardedSimulator::control_heap_pop() {
-  const ControlRef last = control_.back();
-  control_.pop_back();
-  const std::size_t n = control_.size();
-  if (n == 0) return;
-  const auto before = [](const ControlRef& a, const ControlRef& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  };
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t left = (i << 1) + 1;
-    if (left >= n) break;
-    std::size_t best = left;
-    const std::size_t right = left + 1;
-    if (right < n && before(control_[right], control_[left])) best = right;
-    if (!before(control_[best], last)) break;
-    control_[i] = control_[best];
-    i = best;
-  }
-  control_[i] = last;
 }
 
 void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
@@ -184,10 +110,7 @@ void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
     sh.origin = ev.from;
     // Invoke in place — slab chunk addresses are stable, so events the
     // callback schedules (which may carve new chunks) cannot move it.
-    const auto id = static_cast<std::uint32_t>(ev.link);
-    CallbackPayload& cb = shard_slot(sh, id).callback;
-    cb.invoke(cb.storage, shard_idx);
-    shard_free_slot(sh, id);
+    sh.slab.invoke(ev.link, shard_idx);
   }
   sh.origin = kEnvOrigin;
 }
@@ -210,7 +133,7 @@ void ShardedSimulator::drain_window(std::int32_t s, double wend,
       Bucket& bucket = sh.buckets[b];
       sh.run.insert(sh.run.end(), bucket.events.begin(), bucket.events.end());
       bucket.events.clear();
-      heap_pop(sh);
+      sh.heap.pop();
       if (sh.last_bucket == b) sh.last_bucket = kNoBucket;
       sh.bucket_free.push_back(b);
     }
@@ -262,11 +185,8 @@ void ShardedSimulator::run_control(double tctl) {
   env_now_ = tctl;
   while (!control_.empty() && control_.front().time == tctl) {
     const std::int32_t id = control_.front().slot;
-    control_heap_pop();
-    CallbackPayload& cb = env_slot(static_cast<std::uint32_t>(id)).callback;
-    cb.invoke(cb.storage, kEnvOrigin);
-    env_slot(static_cast<std::uint32_t>(id)).next_free = env_free_head_;
-    env_free_head_ = id;
+    control_.pop();
+    control_slab_.invoke(id, kEnvOrigin);
     ++env_processed_;
   }
 }
@@ -331,14 +251,14 @@ std::size_t ShardedSimulator::pending() const {
 }
 
 std::int64_t ShardedSimulator::slots_created() const {
-  std::int64_t total = env_slots_created_;
-  for (const Shard& sh : shards_) total += sh.slots_created;
+  std::int64_t total = control_slab_.slots_created();
+  for (const Shard& sh : shards_) total += sh.slab.slots_created();
   return total;
 }
 
 std::int64_t ShardedSimulator::callback_heap_allocations() const {
-  std::int64_t total = env_heap_allocs_;
-  for (const Shard& sh : shards_) total += sh.heap_allocs;
+  std::int64_t total = control_slab_.heap_allocations();
+  for (const Shard& sh : shards_) total += sh.slab.heap_allocations();
   return total;
 }
 

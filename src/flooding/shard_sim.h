@@ -37,8 +37,9 @@
 // sites.
 //
 // Queue mechanics per shard reuse the event_sim.h calendar-queue
-// design: per-timestamp buckets + a min-heap over distinct times,
-// 48-byte inline events, slab free-list callback slots.  Two additions:
+// design: per-timestamp buckets + an EventHeap over distinct times, and
+// the CallbackSlab callback storage (both event_core.h, shared with the
+// serial engine; the control lane uses the same two).  Two additions:
 // a drained bucket is key-sorted once before execution, and same-time
 // events created *during* the drain go to a small per-shard min-heap
 // merged against the sorted remainder — "slot by key among the
@@ -58,15 +59,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
-#include <memory>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "flooding/event_core.h"
 #include "obs/obs.h"
 
 namespace lhg::flooding {
@@ -74,7 +72,8 @@ namespace lhg::flooding {
 class ShardedSimulator {
  public:
   /// Same inline-capture budget as the single-queue engine.
-  static constexpr std::size_t kInlineCallbackCapacity = 48;
+  static constexpr std::size_t kInlineCallbackCapacity =
+      CallbackSlab<std::int32_t>::kInlineCapacity;
 
   /// Origin id of environment-scheduled events (setup, failure plans);
   /// sorts before every node origin at the same timestamp.
@@ -157,11 +156,8 @@ class ShardedSimulator {
     LHG_CHECK(time == time && time >= env_now_,
               "ShardedSimulator: control time {} is NaN or before now {}",
               time, env_now_);
-    const std::int32_t id = env_alloc_slot();
-    store_callback(env_slot(static_cast<std::uint32_t>(id)).callback,
-                   std::forward<F>(fn), env_heap_allocs_);
-    control_.push_back(ControlRef{time, env_seq_++, id});
-    control_heap_sift_up();
+    const std::int32_t id = control_slab_.store(std::forward<F>(fn));
+    control_.push(ControlRef{time, env_seq_++, id});
   }
 
   /// Schedules `fn(shard)` to run at `time` on the shard owning
@@ -191,10 +187,7 @@ class ShardedSimulator {
                  owner, ctx, shard_of(owner));
       check_time_shard(dst, time);
     }
-    const std::int32_t id = shard_alloc_slot(dst);
-    store_callback(shard_slot(dst, static_cast<std::uint32_t>(id)).callback,
-                   std::forward<F>(fn), dst.heap_allocs);
-    ev.link = id;
+    ev.link = dst.slab.store(std::forward<F>(fn));
     enqueue(dst, time, ev);
   }
 
@@ -260,19 +253,6 @@ class ShardedSimulator {
  private:
   enum Kind : std::uint32_t { kDeliver = 0, kCallback = 1 };
 
-  struct CallbackPayload {
-    void (*invoke)(void* storage, std::int32_t shard);
-    void (*destroy)(void* storage);
-    alignas(std::max_align_t) unsigned char storage[kInlineCallbackCapacity];
-  };
-
-  struct Slot {
-    union {
-      CallbackPayload callback;
-      std::int32_t next_free;
-    };
-  };
-
   /// One queued event.  `key` is the canonical tie-break
   /// ((origin + 1) << 32 | seq); `time` is only meaningful for outbox
   /// entries (bucket entries inherit their bucket's time).  Callback
@@ -310,7 +290,7 @@ class ShardedSimulator {
     // Calendar queue (event_sim.h design).
     std::vector<Bucket> buckets;
     std::vector<std::uint32_t> bucket_free;
-    std::vector<BucketRef> heap;  // binary min-heap by (time, seq)
+    EventHeap<BucketRef> heap;  // distinct pending times
     std::uint32_t last_bucket = kNoBucket;
     std::uint64_t next_bucket_seq = 0;
     std::size_t pending = 0;
@@ -323,11 +303,7 @@ class ShardedSimulator {
     std::vector<Event> late;  // min-heap by key: same-time mid-drain inserts
     std::int32_t origin = kEnvOrigin;  // acting node while dispatching
 
-    // Callback slab (free-listed chunks, stable addresses).
-    std::vector<std::unique_ptr<Slot[]>> chunks;
-    std::int32_t free_head = -1;
-    std::int64_t slots_created = 0;
-    std::int64_t heap_allocs = 0;
+    CallbackSlab<std::int32_t> slab;
 
     // Cross-shard deliveries created this window, one box per dest.
     std::vector<std::vector<Event>> outbox;
@@ -337,13 +313,7 @@ class ShardedSimulator {
     const obs::SimObs* obs = nullptr;
   };
 
-  static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kNoBucket = 0xffffffffu;
-
-  static bool ref_before(const BucketRef& a, const BucketRef& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  }
 
   /// Canonical key of an event created in context `ctx`: the acting
   /// node's (origin, seq) pair, or the env counter.  Packs into 64 bits
@@ -370,75 +340,6 @@ class ShardedSimulator {
               sh.now);
   }
 
-  template <typename F>
-  static void store_callback(CallbackPayload& cb, F&& fn,
-                             std::int64_t& heap_allocs) {
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCallbackCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(cb.storage)) Fn(std::forward<F>(fn));
-      cb.invoke = [](void* p, std::int32_t shard) {
-        Fn* f = std::launder(reinterpret_cast<Fn*>(p));
-        (*f)(shard);
-        f->~Fn();
-      };
-      cb.destroy = [](void* p) {
-        std::launder(reinterpret_cast<Fn*>(p))->~Fn();
-      };
-    } else {
-      ++heap_allocs;
-      Fn* owned = new Fn(std::forward<F>(fn));
-      std::memcpy(cb.storage, &owned, sizeof owned);
-      cb.invoke = [](void* p, std::int32_t shard) {
-        Fn* f = *reinterpret_cast<Fn**>(p);
-        (*f)(shard);
-        delete f;
-      };
-      cb.destroy = [](void* p) { delete *reinterpret_cast<Fn**>(p); };
-    }
-  }
-
-  // --- Shard slab ---
-  Slot& shard_slot(Shard& sh, std::uint32_t id) {
-    return sh.chunks[id >> kChunkShift][id & (kChunkSize - 1)];
-  }
-  std::int32_t shard_alloc_slot(Shard& sh) {
-    if (sh.free_head >= 0) {
-      const std::int32_t id = sh.free_head;
-      sh.free_head = shard_slot(sh, static_cast<std::uint32_t>(id)).next_free;
-      return id;
-    }
-    const auto id = static_cast<std::int32_t>(sh.slots_created);
-    if ((static_cast<std::uint32_t>(id) & (kChunkSize - 1)) == 0) {
-      sh.chunks.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    ++sh.slots_created;
-    return id;
-  }
-  void shard_free_slot(Shard& sh, std::uint32_t id) {
-    shard_slot(sh, id).next_free = sh.free_head;
-    sh.free_head = static_cast<std::int32_t>(id);
-  }
-
-  // --- Control slab ---
-  Slot& env_slot(std::uint32_t id) {
-    return env_chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
-  }
-  std::int32_t env_alloc_slot() {
-    if (env_free_head_ >= 0) {
-      const std::int32_t id = env_free_head_;
-      env_free_head_ = env_slot(static_cast<std::uint32_t>(id)).next_free;
-      return id;
-    }
-    const auto id = static_cast<std::int32_t>(env_slots_created_);
-    if ((static_cast<std::uint32_t>(id) & (kChunkSize - 1)) == 0) {
-      env_chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    ++env_slots_created_;
-    return id;
-  }
-
   /// Cross-shard accessor.  Every use outside the audited barrier-
   /// exchange path is a determinism bug; the linter flags call sites.
   // lint: allow(cross-shard-state): accessor definition, not a use —
@@ -451,10 +352,6 @@ class ShardedSimulator {
   void enqueue_slow(Shard& sh, double time, const Event& ev);
   void late_push(Shard& sh, const Event& ev);
   Event late_pop(Shard& sh);
-  void heap_push(Shard& sh, BucketRef ref);
-  void heap_pop(Shard& sh);
-  void control_heap_sift_up();
-  void control_heap_pop();
   void dispatch(Shard& sh, std::int32_t shard_idx, const Event& ev);
   void drain_window(std::int32_t s, double wend, double deadline, bool bounded);
   void exchange();
@@ -474,11 +371,8 @@ class ShardedSimulator {
   double window_end_ = 0.0;
   bool in_windows_ = false;
 
-  std::vector<ControlRef> control_;  // binary min-heap by (time, seq)
-  std::vector<std::unique_ptr<Slot[]>> env_chunks_;
-  std::int32_t env_free_head_ = -1;
-  std::int64_t env_slots_created_ = 0;
-  std::int64_t env_heap_allocs_ = 0;
+  EventHeap<ControlRef> control_;
+  CallbackSlab<std::int32_t> control_slab_;
   std::int64_t env_processed_ = 0;
 };
 

@@ -56,7 +56,8 @@ TEST(Integration, FullPipeline) {
 
   // 6. Reliable broadcast on lossy links.
   const auto reliable = flooding::reliable_broadcast(
-      g, {.source = 0, .seed = 3, .loss_probability = 0.3, .max_retries = 8});
+      g, {.source = 0, .seed = 3, .chaos = flooding::ChaosSpec::iid(0.3),
+          .max_retries = 8});
   EXPECT_TRUE(reliable.all_alive_delivered());
 
   // 7. A crash is detected by the heartbeat layer.

@@ -32,7 +32,7 @@ TEST(ReliableBroadcast, PlainFloodLosesNodesOnLossyLinks) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Simulator sim;
     core::Rng rng(seed);
-    Network net(g, sim, LatencySpec::fixed(1.0), rng, 0.4);
+    Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.4));
     std::vector<bool> delivered(static_cast<std::size_t>(g.num_nodes()), false);
     net.set_receive_handler(
         [&](core::NodeId self, core::NodeId from, std::int64_t hops) {
@@ -61,7 +61,7 @@ TEST(ReliableBroadcast, DeliversEverythingAtFortyPercentLoss) {
   const auto g = lhg::build(62, 3);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto result = reliable_broadcast(
-        g, {.source = 0, .seed = seed, .loss_probability = 0.4,
+        g, {.source = 0, .seed = seed, .chaos = ChaosSpec::iid(0.4),
             .max_retries = 8});
     EXPECT_TRUE(result.all_alive_delivered()) << "seed " << seed;
     EXPECT_GT(result.retransmissions, 0) << "seed " << seed;
@@ -76,7 +76,7 @@ TEST(ReliableBroadcast, SurvivesLossPlusCrashes) {
     const auto plan = random_crashes(g, 2, 0, rng, /*time=*/0.0);
     const auto result = reliable_broadcast(
         g, {.source = 0, .seed = static_cast<std::uint64_t>(trial) + 1,
-            .loss_probability = 0.25, .max_retries = 8},
+            .chaos = ChaosSpec::iid(0.25), .max_retries = 8},
         plan);
     EXPECT_TRUE(result.all_alive_delivered()) << "trial " << trial;
   }
@@ -89,7 +89,7 @@ TEST(ReliableBroadcast, RetryBudgetExhaustionCanLose) {
   int incomplete = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto result = reliable_broadcast(
-        g, {.source = 0, .seed = seed, .loss_probability = 0.5,
+        g, {.source = 0, .seed = seed, .chaos = ChaosSpec::iid(0.5),
             .max_retries = 0});
     incomplete += result.all_alive_delivered() ? 0 : 1;
   }
@@ -99,7 +99,7 @@ TEST(ReliableBroadcast, RetryBudgetExhaustionCanLose) {
 TEST(ReliableBroadcast, DeterministicPerSeed) {
   const auto g = lhg::build(30, 3);
   const ReliableBroadcastConfig config{
-      .source = 0, .seed = 9, .loss_probability = 0.3};
+      .source = 0, .seed = 9, .chaos = ChaosSpec::iid(0.3)};
   const auto a = reliable_broadcast(g, config);
   const auto b = reliable_broadcast(g, config);
   EXPECT_EQ(a.messages_sent, b.messages_sent);
@@ -114,15 +114,16 @@ TEST(ReliableBroadcast, Validation) {
                std::invalid_argument);
   EXPECT_THROW(reliable_broadcast(g, {.source = 0, .max_retries = -1}),
                std::invalid_argument);
-  EXPECT_THROW(reliable_broadcast(g, {.source = 0, .loss_probability = 1.0}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      reliable_broadcast(g, {.source = 0, .chaos = ChaosSpec::iid(1.0)}),
+      std::invalid_argument);
 }
 
 TEST(Network, LossySendStillCountsMessages) {
   const auto g = lhg::build(10, 3);
   Simulator sim;
   core::Rng rng(1);
-  Network net(g, sim, LatencySpec::fixed(1.0), rng, 0.9);
+  Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.9));
   int received = 0;
   net.set_receive_handler(
       [&](core::NodeId, core::NodeId, std::int64_t) { ++received; });
@@ -132,8 +133,9 @@ TEST(Network, LossySendStillCountsMessages) {
   EXPECT_EQ(net.messages_sent(), 200);
   EXPECT_EQ(net.messages_lost() + received, 200);
   EXPECT_GT(net.messages_lost(), 150);  // ~90% drop
-  EXPECT_THROW(Network(g, sim, LatencySpec::fixed(1.0), rng, -0.1),
-               std::invalid_argument);
+  EXPECT_THROW(
+      Network(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(-0.1)),
+      std::invalid_argument);
 }
 
 }  // namespace
