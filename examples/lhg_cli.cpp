@@ -13,8 +13,12 @@
 // ("n m" header, one "u v" per line), so the tool composes with files
 // and pipes:  lhg_cli build 100 4 | lhg_cli verify 4
 
+#include <charconv>
+#include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/bfs.h"
@@ -49,6 +53,20 @@ int usage() {
   return 64;
 }
 
+/// Parses a numeric argument strictly: the whole text must be one
+/// decimal integer that fits `Int` ("12x", "", "1e3" and overflow all
+/// throw, so bad input exits 65 instead of being truncated).
+template <typename Int>
+Int parse_int(const std::string& text, const char* what) {
+  Int value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    throw std::invalid_argument(format("bad {} '{}'", what, text));
+  }
+  return value;
+}
+
 lhg::Constraint parse_constraint(const std::string& name) {
   if (name == "jd") return lhg::Constraint::kStrictJD;
   if (name == "ktree") return lhg::Constraint::kKTree;
@@ -58,8 +76,8 @@ lhg::Constraint parse_constraint(const std::string& name) {
 
 int cmd_build(int argc, char** argv) {
   if (argc < 4) return usage();
-  const auto n = static_cast<lhg::core::NodeId>(std::stoi(argv[2]));
-  const auto k = std::stoi(argv[3]);
+  const auto n = parse_int<lhg::core::NodeId>(argv[2], "n");
+  const auto k = parse_int<std::int32_t>(argv[3], "k");
   const auto constraint =
       argc > 4 ? parse_constraint(argv[4]) : lhg::Constraint::kKTree;
   lhg::core::write_edge_list(lhg::build(n, k, constraint), std::cout);
@@ -68,7 +86,7 @@ int cmd_build(int argc, char** argv) {
 
 int cmd_verify(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto k = std::stoi(argv[2]);
+  const auto k = parse_int<std::int32_t>(argv[2], "k");
   const auto g = lhg::core::read_edge_list(std::cin);
   lhg::VerifyOptions options;
   if (g.num_edges() > 512) options.minimality_sample = 128;
@@ -93,8 +111,9 @@ int cmd_stats(int, char**) {
 
 int cmd_flood(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto source = static_cast<lhg::core::NodeId>(std::stoi(argv[2]));
-  const auto crashes = argc > 3 ? std::stoi(argv[3]) : 0;
+  const auto source = parse_int<lhg::core::NodeId>(argv[2], "source");
+  const auto crashes =
+      argc > 3 ? parse_int<std::int32_t>(argv[3], "crash count") : 0;
   const auto g = lhg::core::read_edge_list(std::cin);
   lhg::core::Rng rng(1);
   const auto plan =
@@ -110,10 +129,10 @@ int cmd_flood(int argc, char** argv) {
 
 int cmd_route(int argc, char** argv) {
   if (argc < 6) return usage();
-  const auto n = static_cast<lhg::core::NodeId>(std::stoi(argv[2]));
-  const auto k = std::stoi(argv[3]);
-  const auto from = static_cast<lhg::core::NodeId>(std::stoi(argv[4]));
-  const auto to = static_cast<lhg::core::NodeId>(std::stoi(argv[5]));
+  const auto n = parse_int<lhg::core::NodeId>(argv[2], "n");
+  const auto k = parse_int<std::int32_t>(argv[3], "k");
+  const auto from = parse_int<lhg::core::NodeId>(argv[4], "from");
+  const auto to = parse_int<lhg::core::NodeId>(argv[5], "to");
   const auto overlay = lhg::make_routed_overlay(n, k);
   const auto path = overlay.router.route(from, to);
   std::cout << format("{} hops:", path.size() - 1);
@@ -124,8 +143,8 @@ int cmd_route(int argc, char** argv) {
 
 int cmd_plan(int argc, char** argv) {
   if (argc < 4) return usage();
-  const auto n = std::stoll(argv[2]);
-  const auto k = std::stoi(argv[3]);
+  const auto n = parse_int<std::int64_t>(argv[2], "n");
+  const auto k = parse_int<std::int32_t>(argv[3], "k");
   const auto constraint =
       argc > 4 ? parse_constraint(argv[4]) : lhg::Constraint::kKTree;
   lhg::write_plan(lhg::plan(n, k, constraint), std::cout);
@@ -145,8 +164,8 @@ int cmd_spectral(int, char**) {
 
 int cmd_exists(int argc, char** argv) {
   if (argc < 4) return usage();
-  const auto n = std::stoll(argv[2]);
-  const auto k = std::stoi(argv[3]);
+  const auto n = parse_int<std::int64_t>(argv[2], "n");
+  const auto k = parse_int<std::int32_t>(argv[3], "k");
   for (const auto constraint :
        {lhg::Constraint::kStrictJD, lhg::Constraint::kKTree,
         lhg::Constraint::kKDiamond}) {

@@ -9,7 +9,10 @@
 //
 // The simulation measures the two quantities failure detectors trade
 // off (completeness vs accuracy): detection latency of real crashes,
-// and false suspicions caused by message loss.
+// and false suspicions caused by message loss.  The suspicion rule
+// itself is HeartbeatDetector (heartbeat_detector.h), the same detector
+// the repair pipeline (repair.h) runs; this entry point beats on the
+// plain Network and records when each arc's suspicion was raised.
 
 #pragma once
 

@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/bfs.h"
 #include "core/check.h"
 #include "flooding/flood_generic.h"
 
 namespace lhg::flooding {
 
 using core::NodeId;
-
-namespace {
-
-void check_source(const NodeId source, const NodeId n) {
-  LHG_CHECK_RANGE(source, n);
-}
-
-using detail::alive_mask;
-using detail::finalize_dissemination;
-
-}  // namespace
 
 DisseminationResult flood(const core::Graph& topology, const FloodConfig& cfg,
                           const FailurePlan& failures) {
@@ -32,62 +20,23 @@ DisseminationResult flood(const core::Graph& topology, const FloodConfig& cfg,
 DisseminationResult probabilistic_flood(const core::Graph& topology,
                                         const ProbabilisticFloodConfig& cfg,
                                         const FailurePlan& failures) {
-  check_source(cfg.source, topology.num_nodes());
+  LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
   LHG_CHECK(cfg.forward_probability >= 0.0 && cfg.forward_probability <= 1.0,
             "probabilistic_flood: p {} out of range", cfg.forward_probability);
-  Simulator sim;
   core::Rng rng(cfg.seed);
   core::Rng coin = rng.split();
-  Network net(topology, sim, cfg.latency, rng);
-  obs::Runtime obs_rt(cfg.obs);
-  sim.set_obs(obs_rt.obs());
-  net.set_obs(obs_rt.obs());
-  apply_failure_plan(net, failures);
-
-  DisseminationResult result;
-  const auto n = static_cast<std::size_t>(topology.num_nodes());
-  result.delivery_time.assign(n, -1.0);
-  result.delivery_hops.assign(n, -1);
-
-  auto forward = [&](NodeId self, NodeId except, std::int32_t hops,
-                     bool always) {
-    std::int32_t arc = topology.arc_begin(self) - 1;
-    for (NodeId v : topology.neighbors(self)) {
-      ++arc;
-      if (v == except) continue;
-      if (always || coin.next_bool(cfg.forward_probability)) {
-        net.send_link(self, v, topology.edge_of_arc(arc), hops);
-      }
-    }
-  };
-  net.set_receive_handler([&](NodeId self, NodeId from, std::int64_t hops) {
-    auto& t = result.delivery_time[static_cast<std::size_t>(self)];
-    if (t >= 0.0) return;
-    t = sim.now();
-    result.delivery_hops[static_cast<std::size_t>(self)] =
-        static_cast<std::int32_t>(hops) + 1;
-    forward(self, from, static_cast<std::int32_t>(hops) + 1, /*always=*/false);
-  });
-
-  if (net.is_alive(cfg.source)) {
-    result.delivery_time[static_cast<std::size_t>(cfg.source)] = 0.0;
-    result.delivery_hops[static_cast<std::size_t>(cfg.source)] = 0;
-    sim.schedule_at(0.0, [&] { forward(cfg.source, -1, 0, /*always=*/true); });
-  }
-  sim.run();
-
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
-  result.net = net.stats();
-  result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
-  finalize_dissemination(result, alive_mask(net));
-  return result;
+  // The source always sends to every neighbour; relays draw one coin
+  // per non-sender neighbour, in neighbour order.
+  return detail::relay_first_copy(
+      topology, cfg, rng, {}, failures,
+      [&](NodeId, NodeId, std::int32_t hops) {
+        return hops == 0 || coin.next_bool(cfg.forward_probability);
+      });
 }
 
 DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
                            const FailurePlan& failures) {
-  check_source(cfg.source, num_nodes);
+  LHG_CHECK_RANGE(cfg.source, num_nodes);
   LHG_CHECK(cfg.fanout >= 1, "gossip: fanout {} < 1", cfg.fanout);
   core::Rng rng(cfg.seed);
 
@@ -99,8 +48,7 @@ DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
   for (bool a : alive) alive_total += a ? 1 : 0;
 
   DisseminationResult result;
-  result.delivery_time.assign(static_cast<std::size_t>(num_nodes), -1.0);
-  result.delivery_hops.assign(static_cast<std::size_t>(num_nodes), -1);
+  detail::init_delivery(result, num_nodes);
 
   const std::int32_t rounds =
       cfg.max_rounds > 0
@@ -113,17 +61,14 @@ DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
   std::int32_t delivered_alive = 0;
   if (alive[static_cast<std::size_t>(cfg.source)]) {
     infected.push_back(cfg.source);
-    result.delivery_time[static_cast<std::size_t>(cfg.source)] = 0.0;
-    result.delivery_hops[static_cast<std::size_t>(cfg.source)] = 0;
+    detail::record_first_copy(result, cfg.source, 0.0, 0);
     ++delivered_alive;
   }
   for (std::int32_t round = 1;
        round <= rounds && delivered_alive < alive_total; ++round) {
     std::vector<NodeId> fresh;
     auto deliver = [&](NodeId peer) {
-      result.delivery_time[static_cast<std::size_t>(peer)] =
-          static_cast<double>(round);
-      result.delivery_hops[static_cast<std::size_t>(peer)] = round;
+      detail::record_first_copy(result, peer, static_cast<double>(round), round);
       fresh.push_back(peer);
       ++delivered_alive;
     };
@@ -171,74 +116,38 @@ DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
     }
     infected.insert(infected.end(), fresh.begin(), fresh.end());
   }
-  finalize_dissemination(result, alive);
+  detail::finalize_dissemination(
+      result, [&](NodeId u) { return alive[static_cast<std::size_t>(u)]; });
   return result;
 }
 
 DisseminationResult spanning_tree_multicast(const core::Graph& topology,
                                             const TreeConfig& cfg,
                                             const FailurePlan& failures) {
-  check_source(cfg.source, topology.num_nodes());
+  LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
   // BFS spanning tree rooted at the source, built on the healthy
   // topology (the tree is a static overlay; failures strike afterwards).
-  const auto n = static_cast<std::size_t>(topology.num_nodes());
-  std::vector<std::vector<NodeId>> children(n);
-  {
-    std::vector<bool> seen(n, false);
-    std::vector<NodeId> queue{cfg.source};
-    seen[static_cast<std::size_t>(cfg.source)] = true;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const NodeId u = queue[head];
-      for (NodeId v : topology.neighbors(u)) {
-        if (!seen[static_cast<std::size_t>(v)]) {
-          seen[static_cast<std::size_t>(v)] = true;
-          children[static_cast<std::size_t>(u)].push_back(v);
-          queue.push_back(v);
-        }
+  // BFS adopts a node's children in neighbour order, so the relay's
+  // neighbour walk sends to them in that same order.
+  std::vector<NodeId> parent(static_cast<std::size_t>(topology.num_nodes()),
+                             -1);
+  parent[static_cast<std::size_t>(cfg.source)] = cfg.source;
+  std::vector<NodeId> queue{cfg.source};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (NodeId v : topology.neighbors(u)) {
+      if (parent[static_cast<std::size_t>(v)] < 0) {
+        parent[static_cast<std::size_t>(v)] = u;
+        queue.push_back(v);
       }
     }
   }
-
-  Simulator sim;
   core::Rng rng(cfg.seed);
-  Network net(topology, sim, cfg.latency, rng);
-  obs::Runtime obs_rt(cfg.obs);
-  sim.set_obs(obs_rt.obs());
-  net.set_obs(obs_rt.obs());
-  apply_failure_plan(net, failures);
-
-  DisseminationResult result;
-  result.delivery_time.assign(n, -1.0);
-  result.delivery_hops.assign(n, -1);
-
-  auto forward_to_children = [&](NodeId self, std::int32_t hops) {
-    for (NodeId child : children[static_cast<std::size_t>(self)]) {
-      net.send(self, child, hops);
-    }
-  };
-  net.set_receive_handler([&](NodeId self, NodeId /*from*/, std::int64_t hops) {
-    auto& t = result.delivery_time[static_cast<std::size_t>(self)];
-    if (t >= 0.0) return;
-    t = sim.now();
-    result.delivery_hops[static_cast<std::size_t>(self)] =
-        static_cast<std::int32_t>(hops) + 1;
-    forward_to_children(self, static_cast<std::int32_t>(hops) + 1);
-  });
-
-  if (net.is_alive(cfg.source)) {
-    result.delivery_time[static_cast<std::size_t>(cfg.source)] = 0.0;
-    result.delivery_hops[static_cast<std::size_t>(cfg.source)] = 0;
-    sim.schedule_at(0.0, [&] { forward_to_children(cfg.source, 0); });
-  }
-  sim.run();
-
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
-  result.net = net.stats();
-  result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
-  finalize_dissemination(result, alive_mask(net));
-  return result;
+  return detail::relay_first_copy(
+      topology, cfg, rng, {}, failures,
+      [&parent](NodeId self, NodeId v, std::int32_t) {
+        return parent[static_cast<std::size_t>(v)] == self;
+      });
 }
 
 }  // namespace lhg::flooding

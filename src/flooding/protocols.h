@@ -1,10 +1,16 @@
 // Dissemination protocols: deterministic flooding (the paper's subject)
-// and the two baselines it is judged against — push gossip and
-// spanning-tree multicast.
+// and the baselines it is judged against — probabilistic flooding,
+// spanning-tree multicast and push gossip.
 //
-// All three report the same DisseminationResult so the E4–E6 benches can
-// tabulate them side by side: who got the message, when, and how many
-// point-to-point messages it cost.
+// flood, probabilistic_flood and spanning_tree_multicast are one
+// protocol with three forwarding rules: each runs the first-copy relay
+// of flood_generic.h (a node records its first copy, then relays it to
+// the neighbours its rule keeps).  gossip is round-based over uniform
+// random peers and never touches the event engine.
+//
+// All of them report the same DisseminationResult so the E4–E6 benches
+// can tabulate them side by side: who got the message, when, and how
+// many point-to-point messages it cost.
 
 #pragma once
 

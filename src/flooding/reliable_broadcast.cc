@@ -37,46 +37,36 @@ ReliableBroadcastResult reliable_broadcast(const core::Graph& topology,
   link.set_obs(obs_rt.obs());
 
   ReliableBroadcastResult result;
-  const auto n = static_cast<std::size_t>(topology.num_nodes());
-  result.delivery_time.assign(n, -1.0);
-  result.delivery_hops.assign(n, -1);
+  detail::init_delivery(result, topology.num_nodes());
 
   // First copy delivers and forwards; ReliableLink already suppressed
   // duplicates, but a node can still hear the payload over several
   // distinct arcs — only the first one relays.
   auto deliver_and_forward = [&](NodeId self, NodeId except,
                                  std::int64_t hops) {
-    auto& t = result.delivery_time[static_cast<std::size_t>(self)];
-    if (t >= 0.0) return;
-    t = sim.now();
-    result.delivery_hops[static_cast<std::size_t>(self)] =
-        static_cast<std::int32_t>(hops);
+    if (!detail::record_first_copy(result, self, sim.now(),
+                                   static_cast<std::int32_t>(hops))) {
+      return;
+    }
     std::int32_t arc = topology.arc_begin(self);
     for (NodeId v : topology.neighbors(self)) {
       if (v != except) link.send_arc(self, v, arc, hops + 1);
       ++arc;
     }
   };
-  link.set_deliver_handler([&](NodeId self, NodeId from, std::int64_t hops) {
-    deliver_and_forward(self, from, hops);
-  });
+  link.set_deliver_handler(deliver_and_forward);
 
   if (net.is_alive(cfg.source)) {
     sim.schedule_at(0.0, [&] { deliver_and_forward(cfg.source, -1, 0); });
   }
   sim.run();
 
-  result.messages_sent = net.messages_sent();
-  result.events_processed = sim.events_processed();
+  detail::assemble_result(result, net, sim, obs_rt);
   result.messages_lost = net.messages_lost();
-  result.net = net.stats();
   result.retransmissions = link.retransmissions();
   result.acks_sent = link.acks_sent();
   result.duplicates_suppressed = link.duplicates_suppressed();
   result.window_overflows = link.window_overflows();
-  result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
-  detail::finalize_dissemination(result, detail::alive_mask(net));
   return result;
 }
 

@@ -11,7 +11,9 @@
 //
 //   1. Detection — every node heartbeats its overlay neighbors (RAW
 //      frames on a ReliableLink); a silent neighbor is suspected after
-//      `heartbeat_timeout` (same accrual scheme as heartbeat.cc).
+//      `heartbeat_timeout` by the HeartbeatDetector that run_heartbeat
+//      also uses (heartbeat_detector.h).  A suspicion of a node starts
+//      its obituary's view-change flood.
 //   2. Dissemination — the first suspicion of a node floods a
 //      view-change over the surviving overlay on the reliable layer
 //      (ACK/retransmit with backoff), so single drops cannot silence

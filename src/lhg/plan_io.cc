@@ -31,18 +31,35 @@ void write_plan(const TreePlan& plan, std::ostream& out) {
 
 namespace {
 
+/// Largest plan the reader accepts, in realized nodes.  The reader
+/// allocates O(I) before it sees the parents line and every interior
+/// realizes k >= 2 nodes, so capping k·I here bounds that allocation;
+/// ten million nodes matches the edge-list limit (core/graph_io.cc).
+constexpr std::int64_t kMaxPlanNodes = 10'000'000;
+
+bool read_data_line(std::istream& in, std::string& line) {
+  while (std::getline(in, line)) {
+    if (!line.empty() && line[0] != '#') return true;
+  }
+  return false;
+}
+
 std::string next_data_line(std::istream& in) {
   std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') return line;
-  }
-  LHG_CHECK(false, "lhg-plan: unexpected end of input");
+  LHG_CHECK(read_data_line(in, line), "lhg-plan: unexpected end of input");
+  return line;
 }
 
 void expect_keyword(std::istringstream& row, const std::string& keyword) {
   std::string word;
   LHG_CHECK((row >> word) && word == keyword,
             "lhg-plan: expected '{}', got '{}'", keyword, word);
+}
+
+void expect_row_end(std::istringstream& row, const std::string& keyword) {
+  std::string extra;
+  LHG_CHECK(!(row >> extra), "lhg-plan: trailing '{}' on the '{}' line",
+            extra, keyword);
 }
 
 }  // namespace
@@ -54,12 +71,15 @@ TreePlan read_plan(std::istream& in) {
     int version = 0;
     LHG_CHECK((header >> version) && version == 1,
               "lhg-plan: unsupported version {}", version);
+    expect_row_end(header, "lhg-plan");
   }
   TreePlan plan;
   {
     std::istringstream row(next_data_line(in));
     expect_keyword(row, "k");
-    LHG_CHECK((row >> plan.k) && plan.k >= 2, "lhg-plan: bad k {}", plan.k);
+    LHG_CHECK((row >> plan.k) && plan.k >= 2 && plan.k <= kMaxPlanNodes,
+              "lhg-plan: bad k {}", plan.k);
+    expect_row_end(row, "k");
   }
   std::int32_t num_interiors = 0;
   {
@@ -67,6 +87,11 @@ TreePlan read_plan(std::istream& in) {
     expect_keyword(row, "interiors");
     LHG_CHECK((row >> num_interiors) && num_interiors >= 1,
               "lhg-plan: bad interior count {}", num_interiors);
+    expect_row_end(row, "interiors");
+    LHG_CHECK(static_cast<std::int64_t>(plan.k) * num_interiors <=
+                  kMaxPlanNodes,
+              "lhg-plan: {} interiors at k={} exceed the limit of {} nodes",
+              num_interiors, plan.k, kMaxPlanNodes);
   }
   plan.interior_parent.assign(static_cast<std::size_t>(num_interiors), -1);
   if (num_interiors > 1) {
@@ -78,6 +103,7 @@ TreePlan read_plan(std::istream& in) {
                 "lhg-plan: bad parent {} for interior {}", parent, i);
       plan.interior_parent[static_cast<std::size_t>(i)] = parent;
     }
+    expect_row_end(row, "parents");
   }
   std::int32_t num_leaves = 0;
   {
@@ -85,6 +111,12 @@ TreePlan read_plan(std::istream& in) {
     expect_keyword(row, "leaves");
     LHG_CHECK((row >> num_leaves) && num_leaves >= 0,
               "lhg-plan: bad leaf count {}", num_leaves);
+    expect_row_end(row, "leaves");
+    // Every leaf realizes at least one node.
+    LHG_CHECK(static_cast<std::int64_t>(plan.k) * num_interiors + num_leaves <=
+                  kMaxPlanNodes,
+              "lhg-plan: {} leaves exceed the limit of {} nodes", num_leaves,
+              kMaxPlanNodes);
   }
   for (std::int32_t l = 0; l < num_leaves; ++l) {
     std::istringstream row(next_data_line(in));
@@ -93,6 +125,7 @@ TreePlan read_plan(std::istream& in) {
     std::string kind;
     LHG_CHECK((row >> parent >> kind) && parent >= 0 && parent < num_interiors,
               "lhg-plan: bad leaf {}", l);
+    expect_row_end(row, "leaf");
     plan.leaf_parent.push_back(parent);
     if (kind == "shared") {
       plan.leaf_kind.push_back(LeafKind::kShared);
@@ -102,6 +135,13 @@ TreePlan read_plan(std::istream& in) {
       LHG_CHECK(false, "lhg-plan: unknown leaf kind '{}'", kind);
     }
   }
+  std::string extra;
+  LHG_CHECK(!read_data_line(in, extra),
+            "lhg-plan: data after the {} declared leaves: '{}'", num_leaves,
+            extra);
+  LHG_CHECK(plan.realized_nodes() <= kMaxPlanNodes,
+            "lhg-plan: plan realizes {} nodes, above the limit of {}",
+            plan.realized_nodes(), kMaxPlanNodes);
   return plan;
 }
 

@@ -15,6 +15,12 @@ using core::Edge;
 using core::NodeId;
 using core::as_index;
 
+/// A batch falls back to full rebuild when it dissolves + creates more
+/// than this fraction of max(old n, new n) slots.  A floor of 4k slots
+/// keeps every single-step reshape boundary incremental (the worst
+/// measured single-step turnover is 4k-1 slots, K-DIAMOND).
+constexpr double kRebuildFraction = 0.5;
+
 /// Translates slot-space edges into member-id space through an
 /// occupant map and appends them, re-canonicalized (the occupant
 /// permutation does not preserve u < v).
@@ -50,13 +56,8 @@ void finalize_edge_delta(std::vector<Edge>* removed, std::vector<Edge>* added) {
 
 IncrementalOverlay::IncrementalOverlay(NodeId n, std::int32_t k,
                                        Constraint constraint)
-    : IncrementalOverlay(n, k, constraint, Options()) {}
-
-IncrementalOverlay::IncrementalOverlay(NodeId n, std::int32_t k,
-                                       Constraint constraint, Options options)
     : k_(k),
       constraint_(constraint),
-      options_(options),
       plan_(lhg::plan(n, k, constraint)),
       graph_(assemble(plan_)) {
   LHG_CHECK(graph_.num_nodes() == n,
@@ -119,9 +120,9 @@ MemberDelta IncrementalOverlay::apply_batch(std::span<const MemberId> leavers,
   const double turnover =
       static_cast<double>(d.freed_slots.size() + d.new_slots.size());
   const double threshold =
-      std::max(4.0 * k_, options_.rebuild_fraction *
+      std::max(4.0 * k_, kRebuildFraction *
                              static_cast<double>(std::max(old_n, new_n)));
-  if (options_.rebuild_fraction <= 0.0 || turnover > threshold) {
+  if (turnover > threshold) {
     return apply_rebuild(sorted_leavers, joins, new_plan);
   }
 

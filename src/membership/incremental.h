@@ -36,8 +36,8 @@
 // regime (in general c = ⌈3k/log₂ n⌉), against Θ(n) rebuild-and-diff.
 // Batched view changes (apply_batch) pay one plan delta for the whole
 // batch, so sustained churn composes sublinearly.  When a requested
-// batch would dissolve more than `rebuild_fraction` of all slots, the
-// engine degrades gracefully to a full rebuild (dense canonical
+// batch would dissolve more than half of all slots, the engine
+// degrades gracefully to a full rebuild (dense canonical
 // reassignment, flagged in the returned delta) instead of shuffling
 // nearly every occupant through the relocation machinery.
 //
@@ -86,24 +86,12 @@ struct MemberDelta {
 
 class IncrementalOverlay {
  public:
-  struct Options {
-    /// Fall back to full rebuild when a batch dissolves + creates more
-    /// than this fraction of max(old n, new n) slots.  A floor of 4k
-    /// slots keeps every single-step reshape boundary incremental (the
-    /// worst measured single-step turnover is 4k-1 slots, K-DIAMOND).
-    /// Non-positive forces every change down the rebuild path (useful
-    /// as a baseline); values >= 2 disable the fallback.
-    double rebuild_fraction = 0.5;
-  };
-
   /// Seeds the overlay at size n: member i occupies canonical slot i,
   /// so the member graph starts bit-identical to lhg::build(n, k, c).
   /// Throws std::invalid_argument if (n, k) is not realizable under
   /// the constraint.
   IncrementalOverlay(core::NodeId n, std::int32_t k,
                      Constraint constraint = Constraint::kKTree);
-  IncrementalOverlay(core::NodeId n, std::int32_t k, Constraint constraint,
-                     Options options);
 
   std::int32_t k() const { return k_; }
   Constraint constraint() const { return constraint_; }
@@ -165,7 +153,6 @@ class IncrementalOverlay {
 
   std::int32_t k_;
   Constraint constraint_;
-  Options options_;
   TreePlan plan_;
   core::Graph graph_;  // canonical slot-space graph for plan_
   std::vector<MemberId> member_of_slot_;   // size == size()

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
+#include "flooding/heartbeat_detector.h"
 #include "lhg/lhg.h"
 
 namespace lhg::flooding {
@@ -98,6 +100,78 @@ TEST(Heartbeat, Validation) {
   EXPECT_THROW(run_heartbeat(g, {.interval = 2.0, .timeout = 1.0}),
                std::invalid_argument);
   EXPECT_THROW(run_heartbeat(g, {.horizon = -1.0}), std::invalid_argument);
+}
+
+// The detector on its own: every tick up to the horizon runs the beat
+// action, exactly the crashed node's alive neighbours suspect it, and
+// every event it schedules fits the Simulator's inline callback slot.
+TEST(HeartbeatDetector, SuspectsACrashWithInlineCallbacksOnly) {
+  const auto g = lhg::build(22, 3);
+  Simulator sim;
+  core::Rng rng(1);
+  Network net(g, sim, LatencySpec::fixed(0.1), rng);
+  FailurePlan plan;
+  plan.crashes.push_back({5, 4.0});
+  apply_failure_plan(net, plan);
+  std::int64_t ticks = 0;
+  std::int32_t suspicions = 0;
+  HeartbeatDetector detector(
+      net, /*interval=*/1.0, /*timeout=*/3.5, /*horizon=*/20.0,
+      /*obs=*/nullptr,
+      [&](core::NodeId u) {
+        ++ticks;
+        for (core::NodeId v : g.neighbors(u)) net.send(u, v, 0);
+        return true;
+      },
+      [&](core::NodeId, core::NodeId target, std::int32_t, bool false_alarm) {
+        EXPECT_EQ(target, 5);
+        EXPECT_FALSE(false_alarm);
+        ++suspicions;
+      });
+  net.set_receive_handler([&](core::NodeId self, core::NodeId from,
+                              std::int64_t) { detector.heard(self, from); });
+  sim.run_until(30.0);
+  EXPECT_EQ(ticks, 22 * 20);  // ticks at t = 1, 2, ..., 20 per node
+  EXPECT_EQ(suspicions, g.degree(5));
+  EXPECT_EQ(detector.false_suspicions(), 0);
+  EXPECT_EQ(sim.callback_heap_allocations(), 0);
+}
+
+// A beat heard after a suspicion rebuts it, so the same arc can raise a
+// second suspicion when the target falls silent again.
+TEST(HeartbeatDetector, NewerBeatRebutsAStandingSuspicion) {
+  const auto g = lhg::build(22, 3);
+  Simulator sim;
+  core::Rng rng(1);
+  Network net(g, sim, LatencySpec::fixed(0.1), rng);
+  FailurePlan plan;
+  plan.crashes = {{5, 4.0}, {5, 15.0}};
+  plan.recoveries = {{5, 10.0}};
+  apply_failure_plan(net, plan);
+  std::int32_t suspicions = 0;
+  HeartbeatDetector detector(
+      net, /*interval=*/1.0, /*timeout=*/3.5, /*horizon=*/30.0,
+      /*obs=*/nullptr,
+      [&](core::NodeId u) {
+        for (core::NodeId v : g.neighbors(u)) net.send(u, v, 0);
+        return true;
+      },
+      [&](core::NodeId, core::NodeId target, std::int32_t, bool) {
+        EXPECT_EQ(target, 5);
+        ++suspicions;
+      });
+  net.set_receive_handler([&](core::NodeId self, core::NodeId from,
+                              std::int64_t) { detector.heard(self, from); });
+  sim.run_until(12.0);
+  EXPECT_EQ(suspicions, g.degree(5));  // first crash suspected
+  for (core::NodeId w : g.neighbors(5)) {
+    EXPECT_FALSE(detector.suspected(g.arc_index(w, 5)));  // rebutted
+  }
+  sim.run_until(35.0);
+  EXPECT_EQ(suspicions, 2 * g.degree(5));
+  for (core::NodeId w : g.neighbors(5)) {
+    EXPECT_TRUE(detector.suspected(g.arc_index(w, 5)));
+  }
 }
 
 }  // namespace

@@ -204,18 +204,31 @@ TEST(Incremental, SurvivorEdgesUntouchedByNonReshapingChange) {
 }
 
 TEST(Incremental, RebuildFallbackPreservesEquivalence) {
-  IncrementalOverlay::Options opts;
-  opts.rebuild_fraction = 0.0;  // force every change down the rebuild path
-  IncrementalOverlay o(30, 3, Constraint::kKTree, opts);
+  // Batches that dissolve or create more than half of all slots take
+  // the rebuild path; the delta must still replay exactly.
+  IncrementalOverlay o(60, 3);
   std::vector<Edge> shadow = member_space_edges(o);
-  for (int step = 0; step < 8; ++step) {
-    const auto delta = o.join();
+  for (int step = 0; step < 4; ++step) {
+    std::vector<MemberId> leavers;
+    std::int32_t joins = 40;
+    if (step % 2 == 0) {  // shrink 60 -> 20, then grow back
+      const auto ids = o.members();
+      leavers.assign(ids.begin(), ids.begin() + 40);
+      joins = 0;
+    }
+    const auto delta = o.apply_batch(leavers, joins);
     EXPECT_FALSE(delta.incremental);
     apply_delta(&shadow, delta);
     ASSERT_EQ(shadow, member_space_edges(o));
     ASSERT_EQ(o.canonical_graph(), build(o.size(), 3));
   }
-  EXPECT_EQ(o.rebuild_fallbacks(), 8);
+  EXPECT_EQ(o.rebuild_fallbacks(), 4);
+  // A single join stays incremental and is not counted.
+  const auto delta = o.join();
+  EXPECT_TRUE(delta.incremental);
+  apply_delta(&shadow, delta);
+  ASSERT_EQ(shadow, member_space_edges(o));
+  EXPECT_EQ(o.rebuild_fallbacks(), 4);
 }
 
 TEST(Incremental, MemberGraphIsAnLhgUnderChurnedIds) {

@@ -75,6 +75,28 @@ TEST(PlanIo, MalformedInputsRejected) {
   EXPECT_THROW(
       from_plan_string("lhg-plan 1\nk 3\ninteriors 1\nleaves 2\nleaf 0 shared\n"),
       std::invalid_argument);
+  // Oversized counts are refused before anything is allocated.
+  EXPECT_THROW(from_plan_string("lhg-plan 1\nk 4\ninteriors 2000000000\n"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      from_plan_string("lhg-plan 1\nk 2000000000\ninteriors 1\nleaves 0\n"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      from_plan_string(
+          "lhg-plan 1\nk 3\ninteriors 1\nleaves 2000000000\nleaf 0 shared\n"),
+      std::invalid_argument);
+  // Trailing tokens on a row.
+  EXPECT_THROW(
+      from_plan_string("lhg-plan 1\nk 4 junk\ninteriors 1\nleaves 0\n"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      from_plan_string("lhg-plan 1\nk 3\ninteriors 2\nparents 0 7 9\nleaves 0\n"),
+      std::invalid_argument);
+  // More leaf lines than declared.
+  EXPECT_THROW(from_plan_string("lhg-plan 1\nk 3\ninteriors 1\nleaves 3\n"
+                                "leaf 0 shared\nleaf 0 shared\nleaf 0 shared\n"
+                                "leaf 0 shared\n"),
+               std::invalid_argument);
 }
 
 }  // namespace
