@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
             plan.crashes.push_back({42, 25.0});
             plan.crashes.push_back({100, 40.0});
             const auto result = run_heartbeat(
-                g, {.interval = 1.0, .timeout = timeout, .horizon = 60.0,
+                g, {.timeout = timeout, .horizon = 60.0,
                     .loss_probability = loss, .seed = rng()},
                 plan);
             Agg one;

@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
             // the reliable machinery adds ACKs + retransmissions.
             return account(reliable_broadcast(
                 g, {.source = 0, .seed = rng(), .chaos = chaos,
-                    .retransmit_interval = 3.0,
                     .max_retries = max_retries}));
           },
           Agg::merge);

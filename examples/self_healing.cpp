@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
   // 3. Heartbeat detection.
   const auto heartbeat = flooding::run_heartbeat(
-      g, {.interval = 1.0, .timeout = 3.5, .horizon = 30.0}, plan);
+      g, {.timeout = 3.5, .horizon = 30.0}, plan);
   if (!heartbeat.all_crashes_detected()) {
     std::cout << "[t2] FAILURE: some crash went undetected\n";
     return 2;

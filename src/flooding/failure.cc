@@ -24,6 +24,15 @@ void compose(FailurePlan& plan, const FailurePlan& extra) {
                          extra.partitions.end());
 }
 
+void check_plan_nodes(const FailurePlan& plan, NodeId num_nodes) {
+  for (const NodeCrash& crash : plan.crashes) {
+    LHG_CHECK_RANGE(crash.node, num_nodes);
+  }
+  for (const NodeRecovery& recovery : plan.recoveries) {
+    LHG_CHECK_RANGE(recovery.node, num_nodes);
+  }
+}
+
 FailurePlan random_crashes(const core::Graph& g, std::int32_t count,
                            NodeId protect, core::Rng& rng, double time) {
   LHG_CHECK(count >= 0 && count <= g.num_nodes() - 1,

@@ -77,6 +77,12 @@ struct FailurePlan {
 /// Appends every entry of `extra` to `plan` (the composed adversary).
 void compose(FailurePlan& plan, const FailurePlan& extra);
 
+/// Checks every crash and recovery node id against [0, num_nodes) with
+/// the contract error the network's crash/recover mutators raise.  For
+/// entry points that index per-node arrays by plan ids before (or
+/// without) applying the plan to a Network.
+void check_plan_nodes(const FailurePlan& plan, core::NodeId num_nodes);
+
 /// `count` distinct nodes crash at `time`, chosen uniformly at random,
 /// never including `protect` (the broadcast source).  Requires
 /// count <= n - 1.

@@ -87,12 +87,11 @@ struct ChaosSpec {
   double reorder_jitter = 0.0;
 
   /// Gilbert–Elliott bursty channel: each channel is a two-state Markov
-  /// chain advanced once per transmission; the loss probability depends
-  /// on the state.  Models correlated (bursty) loss.
+  /// chain advanced once per transmission; copies drop only in the bad
+  /// state.  Models correlated (bursty) loss.
   bool gilbert_elliott = false;
   double ge_good_to_bad = 0.05;  ///< P(good -> bad) per transmission
   double ge_bad_to_good = 0.25;  ///< P(bad -> good) per transmission
-  double ge_loss_good = 0.0;     ///< drop probability in the good state
   double ge_loss_bad = 0.5;      ///< drop probability in the bad state
 
   static ChaosSpec none() { return {}; }
@@ -359,7 +358,6 @@ class FaultModel {
     if (chaos.gilbert_elliott) {
       detail::check_probability(chaos.ge_good_to_bad, "GE good->bad");
       detail::check_probability(chaos.ge_bad_to_good, "GE bad->good");
-      detail::check_probability(chaos.ge_loss_good, "GE good-state loss");
       detail::check_probability(chaos.ge_loss_bad, "GE bad-state loss");
       // Every channel starts in the good state.
       channel_bad_.assign(channels, 0);
@@ -484,13 +482,14 @@ class FaultModel {
       core::Rng& rng = net().channel_rng(channel);
       std::uint8_t& bad = channel_bad_[channel];
       // Advance the two-state chain once per transmission, then draw the
-      // loss with the new state's probability.
+      // loss in the bad state (the good state never drops, so it draws
+      // nothing).
       if (bad == 0) {
         if (rng.next_bool(chaos_.ge_good_to_bad)) bad = 1;
       } else {
         if (rng.next_bool(chaos_.ge_bad_to_good)) bad = 0;
       }
-      const double p = bad != 0 ? chaos_.ge_loss_bad : chaos_.ge_loss_good;
+      const double p = bad != 0 ? chaos_.ge_loss_bad : 0.0;
       return p > 0.0 && rng.next_bool(p);
     }
     return chaos_.loss > 0.0 &&

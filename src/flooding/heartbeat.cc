@@ -11,10 +11,10 @@ using core::NodeId;
 HeartbeatResult run_heartbeat(const core::Graph& topology,
                               const HeartbeatConfig& cfg,
                               const FailurePlan& failures) {
-  LHG_CHECK(cfg.interval > 0 && cfg.timeout > cfg.interval && cfg.horizon > 0,
-            "heartbeat: need 0 < interval < timeout and horizon > 0, got "
-            "interval={}, timeout={}, horizon={}",
-            cfg.interval, cfg.timeout, cfg.horizon);
+  LHG_CHECK(cfg.timeout > kHeartbeatInterval && cfg.horizon > 0,
+            "heartbeat: need timeout > interval {} and horizon > 0, got "
+            "timeout={}, horizon={}",
+            kHeartbeatInterval, cfg.timeout, cfg.horizon);
 
   Simulator sim;
   core::Rng rng(cfg.seed);
@@ -33,7 +33,7 @@ HeartbeatResult run_heartbeat(const core::Graph& topology,
   // Crashed nodes beat too: the Network refuses their sends without
   // consuming Rng draws, and the tick still counts as a beat.
   HeartbeatDetector detector(
-      net, cfg.interval, cfg.timeout, cfg.horizon, obs,
+      net, cfg.timeout, cfg.horizon, obs,
       [&](NodeId u) {
         std::int32_t arc = topology.arc_begin(u);
         for (NodeId v : topology.neighbors(u)) {

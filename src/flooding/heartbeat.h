@@ -2,8 +2,9 @@
 //
 // Fault-tolerant flooding presumes someone notices failures; in
 // practice that is a neighbor-to-neighbor heartbeat layer on the same
-// overlay links.  Each node beats to its overlay neighbors every
-// `interval`; a neighbor that stays silent for `timeout` is suspected.
+// overlay links.  Each node beats to its overlay neighbors once per
+// kHeartbeatInterval (1.0, heartbeat_detector.h); a neighbor that stays
+// silent for `timeout` is suspected.
 // Because the LHG has degree ~k, the monitoring cost is O(k) messages
 // per node per interval — another payoff of link minimality.
 //
@@ -27,8 +28,7 @@
 namespace lhg::flooding {
 
 struct HeartbeatConfig {
-  double interval = 1.0;  ///< heartbeat period
-  double timeout = 3.5;   ///< silence before suspicion (> interval)
+  double timeout = 3.5;   ///< silence before suspicion (> the 1.0 period)
   double horizon = 60.0;  ///< simulated duration
   LatencySpec latency = LatencySpec::fixed(0.1);
   double loss_probability = 0.0;

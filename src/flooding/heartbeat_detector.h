@@ -2,9 +2,9 @@
 // rule behind `run_heartbeat` (heartbeat.cc) and the detection phase of
 // `run_repair` (repair.cc).
 //
-// Every node ticks every `interval` up to the horizon, and each tick
-// runs the caller's per-node beat action.  Monitoring state lives per
-// directed overlay arc (observer -> target) in flat arrays over
+// Every node ticks every kHeartbeatInterval up to the horizon, and each
+// tick runs the caller's per-node beat action.  Monitoring state lives
+// per directed overlay arc (observer -> target) in flat arrays over
 // Graph::arc_index ids: when it was last heard and whether it stands
 // suspected.  Hearing a beat rebuts any standing suspicion and arms a
 // check `timeout` later; a newer beat re-arms a later check, so only
@@ -17,10 +17,10 @@
 // Ticks re-arm themselves instead of being pre-scheduled per node up
 // front, so the pending-event set stays O(n) for any horizon (the
 // rolling-footprint discipline of DESIGN.md §12).  The next tick time
-// accumulates as t + interval, which keeps tick timestamps bit-identical
-// to a pre-scheduled loop.  Crashed nodes keep ticking; the beat action
-// decides what a crashed node does, and a recovered node resumes
-// beating on its next tick.
+// accumulates as t + kHeartbeatInterval, which keeps tick timestamps
+// bit-identical to a pre-scheduled loop.  Crashed nodes keep ticking;
+// the beat action decides what a crashed node does, and a recovered
+// node resumes beating on its next tick.
 
 #pragma once
 
@@ -35,6 +35,10 @@
 
 namespace lhg::flooding {
 
+/// The heartbeat period of every detector: run_heartbeat and run_repair
+/// both beat once per unit of virtual time.
+inline constexpr double kHeartbeatInterval = 1.0;
+
 /// `beat(u)` sends u's heartbeats and returns whether the tick counts
 /// as a beat (obs `hb_beats`).  `on_suspect(observer, target, arc,
 /// false_alarm)` runs on every new suspicion; `false_alarm` says the
@@ -44,14 +48,12 @@ template <typename Beat, typename OnSuspect>
 class HeartbeatDetector {
  public:
   /// Starts the detector: schedules every node's first tick at
-  /// `interval` and, as everyone starts "heard at 0", the first check
-  /// on each of its arcs.  `net` (with its topology and simulator) must
-  /// outlive the detector; `obs` may be null.
-  HeartbeatDetector(Network& net, double interval, double timeout,
-                    double horizon, const obs::SimObs* obs, Beat beat,
-                    OnSuspect on_suspect)
+  /// kHeartbeatInterval and, as everyone starts "heard at 0", the first
+  /// check on each of its arcs.  `net` (with its topology and simulator)
+  /// must outlive the detector; `obs` may be null.
+  HeartbeatDetector(Network& net, double timeout, double horizon,
+                    const obs::SimObs* obs, Beat beat, OnSuspect on_suspect)
       : net_(net),
-        interval_(interval),
         timeout_(timeout),
         horizon_(horizon),
         obs_(obs),
@@ -60,7 +62,8 @@ class HeartbeatDetector {
         last_heard_(static_cast<std::size_t>(g().num_arcs()), 0.0),
         suspected_(static_cast<std::size_t>(g().num_arcs()), 0) {
     for (core::NodeId u = 0; u < g().num_nodes(); ++u) {
-      sim().schedule_at(interval_, [this, u, t = interval_] { tick(u, t); });
+      sim().schedule_at(kHeartbeatInterval,
+                        [this, u, t = kHeartbeatInterval] { tick(u, t); });
       const std::int32_t end = g().arc_begin(u) + g().degree(u);
       for (std::int32_t arc = g().arc_begin(u); arc < end; ++arc) {
         arm(u, g().arc_target(arc), arc, 0.0);
@@ -89,7 +92,7 @@ class HeartbeatDetector {
  private:
   void tick(core::NodeId u, double t) {
     if (beat_(u) && obs_ != nullptr) obs_->add(obs_->hb_beats);
-    const double next = t + interval_;
+    const double next = t + kHeartbeatInterval;
     if (next <= horizon_) {
       sim().schedule_at(next, [this, u, next] { tick(u, next); });
     }
@@ -121,7 +124,6 @@ class HeartbeatDetector {
   Simulator& sim() { return net_.simulator(); }
 
   Network& net_;
-  double interval_;
   double timeout_;
   double horizon_;
   const obs::SimObs* obs_;

@@ -38,6 +38,7 @@ DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
                            const FailurePlan& failures) {
   LHG_CHECK_RANGE(cfg.source, num_nodes);
   LHG_CHECK(cfg.fanout >= 1, "gossip: fanout {} < 1", cfg.fanout);
+  check_plan_nodes(failures, num_nodes);
   core::Rng rng(cfg.seed);
 
   std::vector<bool> alive(static_cast<std::size_t>(num_nodes), true);
@@ -50,12 +51,13 @@ DisseminationResult gossip(NodeId num_nodes, const GossipConfig& cfg,
   DisseminationResult result;
   detail::init_delivery(result, num_nodes);
 
+  constexpr std::int32_t kExtraRounds = 4;  // the c of ceil(log2 n) + c
   const std::int32_t rounds =
       cfg.max_rounds > 0
           ? cfg.max_rounds
           : static_cast<std::int32_t>(
                 std::ceil(std::log2(std::max<NodeId>(2, num_nodes)))) +
-                cfg.extra_rounds;
+                kExtraRounds;
 
   std::vector<NodeId> infected;
   std::int32_t delivered_alive = 0;

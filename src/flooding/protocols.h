@@ -95,8 +95,7 @@ enum class GossipMode {
 struct GossipConfig {
   core::NodeId source = 0;
   std::int32_t fanout = 3;      // peers contacted per round per node
-  std::int32_t max_rounds = 0;  // 0 = ceil(log2 n) + c rounds (classic)
-  std::int32_t extra_rounds = 4;
+  std::int32_t max_rounds = 0;  // 0 = ceil(log2 n) + 4 rounds (classic)
   GossipMode mode = GossipMode::kPush;
   std::uint64_t seed = 1;
 };

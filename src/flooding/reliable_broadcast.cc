@@ -14,9 +14,6 @@ ReliableBroadcastResult reliable_broadcast(const core::Graph& topology,
                                            const ReliableBroadcastConfig& cfg,
                                            const FailurePlan& failures) {
   LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
-  LHG_CHECK(cfg.retransmit_interval > 0 && cfg.max_retries >= 0,
-            "reliable_broadcast: bad retry settings (interval={}, retries={})",
-            cfg.retransmit_interval, cfg.max_retries);
 
   Simulator sim;
   core::Rng rng(cfg.seed);
@@ -26,14 +23,10 @@ ReliableBroadcastResult reliable_broadcast(const core::Graph& topology,
   net.set_obs(obs_rt.obs());
   apply_failure_plan(net, failures);
 
-  BackoffPolicy backoff;
-  backoff.base = cfg.retransmit_interval;
-  backoff.factor = cfg.backoff_factor;
-  backoff.max = cfg.backoff_max;
-  backoff.jitter = cfg.backoff_jitter;
-  backoff.max_retries = cfg.max_retries;
+  BackoffPolicy backoff = BackoffPolicy::fixed(kRetransmitInterval,
+                                               cfg.max_retries);
   backoff.persist_when_blocked = cfg.persist_when_blocked;
-  ReliableLink link(net, backoff, rng);
+  ReliableLink link(net, backoff);
   link.set_obs(obs_rt.obs());
 
   ReliableBroadcastResult result;

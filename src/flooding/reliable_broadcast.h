@@ -4,9 +4,9 @@
 // Plain flooding assumes reliable channels; on lossy links a dropped
 // copy can silence a whole subtree.  This protocol keeps flooding's
 // structure but rides every link-hop on ReliableLink: DATA is ACKed,
-// unACKed copies are retransmitted on an (optionally exponential,
-// optionally jittered) backoff schedule until retries run out, and
-// duplicate DATA is re-ACKed but not re-forwarded.
+// unACKed copies are retransmitted every kRetransmitInterval (3.0) of
+// virtual time until retries run out, and duplicate DATA is re-ACKed
+// but not re-forwarded.
 //
 // With i.i.d. loss probability p and fixed-interval retries, a link-hop
 // fails only if all 1+max_retries transmissions drop (p^(r+1)); the E13
@@ -24,6 +24,11 @@
 
 namespace lhg::flooding {
 
+/// Virtual-time gap between transmissions of an unACKed copy: the
+/// fixed-interval schedule BackoffPolicy::fixed(kRetransmitInterval,
+/// max_retries).
+inline constexpr double kRetransmitInterval = 3.0;
+
 struct ReliableBroadcastConfig {
   core::NodeId source = 0;
   LatencySpec latency = LatencySpec::fixed(1.0);
@@ -33,18 +38,9 @@ struct ReliableBroadcastConfig {
   /// loss with probability p.
   ChaosSpec chaos{};
 
-  /// Virtual-time gap before the first retransmission of an unACKed
-  /// copy (BackoffPolicy::base).
-  double retransmit_interval = 3.0;
-  /// Retransmissions per (sender, receiver) copy after the first send.
+  /// Retransmissions per (sender, receiver) copy after the first send,
+  /// each kRetransmitInterval after the previous attempt.
   std::int32_t max_retries = 5;
-  /// Backoff multiplier per retry; 1.0 is the classic fixed interval.
-  double backoff_factor = 1.0;
-  /// Backoff delay cap; 0 disables the cap.
-  double backoff_max = 0.0;
-  /// Multiplicative retry jitter in [0, 1); 0 keeps retries aligned
-  /// (and consumes no Rng draws).
-  double backoff_jitter = 0.0;
   /// Keep retry timers alive when a send is refused outright (link
   /// down, partition) instead of abandoning the copy — required for
   /// delivery across transient partition windows

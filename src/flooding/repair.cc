@@ -11,24 +11,27 @@ namespace lhg::flooding {
 
 using core::NodeId;
 
-namespace {
-
-// View-change payload on the reliable layer, packed into the 45
-// payload bits ReliableLink exposes: bit 0 = kind (0 a node went down,
-// 1 it asserts aliveness), bits 1..32 the node id, bits 33+ the
-// rumor's epoch (12 bits — a node's epoch moves only on rejoin
-// announcements and self-rebuttals, far fewer than 4096 per run).
-constexpr std::int64_t vc_payload(NodeId node, std::int32_t epoch, bool up) {
-  return (static_cast<std::int64_t>(epoch) << 33) |
+std::int64_t detail::vc_payload(NodeId node, std::int32_t epoch, bool up) {
+  LHG_CHECK(epoch >= 0 && epoch < (std::int32_t{1} << kVcEpochBits),
+            "repair: view-change epoch {} does not fit in {} bits", epoch,
+            kVcEpochBits);
+  return (static_cast<std::int64_t>(epoch) << (1 + kVcNodeBits)) |
          (static_cast<std::int64_t>(node) << 1) | (up ? 1 : 0);
 }
-constexpr bool vc_is_up(std::int64_t payload) { return (payload & 1) != 0; }
-constexpr NodeId vc_node(std::int64_t payload) {
-  return static_cast<NodeId>((payload >> 1) & 0xffffffff);
-}
-constexpr std::int32_t vc_epoch(std::int64_t payload) {
-  return static_cast<std::int32_t>(payload >> 33);
-}
+
+namespace {
+
+// Detection: silence before suspicion, in the detector's beat periods.
+constexpr double kHeartbeatTimeout = 3.5;
+static_assert(0.0 < kHeartbeatInterval &&
+              kHeartbeatInterval < kHeartbeatTimeout);
+// Retry schedule for view-change dissemination on the overlay; it
+// persists through down windows so flapped links don't eat updates.
+constexpr BackoffPolicy kViewBackoff{3.0, 2.0, 24.0, 6, true};
+// Underlay REQ/ACK handshakes (per needed edge): one-way latency and
+// retry schedule.
+constexpr double kUnderlayLatency = 2.0;
+constexpr BackoffPolicy kHandshakeBackoff{4.0, 2.0, 32.0, 8, true};
 
 /// One underlay REQ/ACK handshake for a target edge the overlay lacks.
 /// `u` is the requester (lower id).
@@ -81,7 +84,7 @@ struct RepairSim {
         cfg(config),
         rng(config.seed),
         net(graph, sim, config.latency, rng, config.chaos),
-        link(net, config.view_backoff, rng),
+        link(net, kViewBackoff),
         obs_rt(config.obs),
         obs(obs_rt.obs()),
         n(static_cast<std::size_t>(graph.num_nodes())),
@@ -125,7 +128,7 @@ struct RepairSim {
     if (obs != nullptr) {
       obs->add(obs->repair_view_changes);
       obs->event(sim.now(), obs::TraceKind::kViewChange, w, except,
-                 vc_node(payload));
+                 detail::vc_node(payload));
     }
   }
 
@@ -142,7 +145,7 @@ struct RepairSim {
     if (in_perm[static_cast<std::size_t>(x)] != 0) {
       ++match[static_cast<std::size_t>(w)];
     }
-    relay(w, relay_except, vc_payload(x, epoch, /*up=*/false));
+    relay(w, relay_except, detail::vc_payload(x, epoch, /*up=*/false));
     check_view(w);
   }
 
@@ -161,13 +164,13 @@ struct RepairSim {
         --match[static_cast<std::size_t>(w)];
       }
     }
-    relay(w, relay_except, vc_payload(r, epoch, /*up=*/true));
+    relay(w, relay_except, detail::vc_payload(r, epoch, /*up=*/true));
   }
 
   void on_deliver(NodeId self, NodeId from, std::int64_t payload) {
-    const NodeId x = vc_node(payload);
-    const std::int32_t epoch = vc_epoch(payload);
-    if (!vc_is_up(payload)) {
+    const NodeId x = detail::vc_node(payload);
+    const std::int32_t epoch = detail::vc_epoch(payload);
+    if (!detail::vc_is_up(payload)) {
       if (x == self) {
         // A live node hearing its own obituary refutes it with a
         // strictly newer epoch (once per obituary epoch: the flood's
@@ -191,12 +194,12 @@ struct RepairSim {
     learn_up(self, x, epoch, from);
     if (direct) {
       const std::int32_t arc = g.arc_index(self, from);
+      const std::size_t row = static_cast<std::size_t>(self) * n;
       for (std::size_t y = 0; y < n; ++y) {
-        if (down_view[static_cast<std::size_t>(self) * n + y] != 0) {
+        if (down_view[row + y] != 0) {
           link.send_arc(self, from, arc,
-                        vc_payload(static_cast<NodeId>(y),
-                                   epoch_seen[static_cast<std::size_t>(self) * n + y],
-                                   /*up=*/false));
+                        detail::vc_payload(static_cast<NodeId>(y),
+                                           epoch_seen[row + y], /*up=*/false));
           ++res.view_change_messages;
         }
       }
@@ -232,12 +235,11 @@ struct RepairSim {
       ++res.handshake_messages;  // the REQ
       if (obs != nullptr) obs->add(obs->repair_handshakes);
       if (!underlay_drops()) {
-        sim.schedule_in(cfg.underlay_latency,
-                        [this, hid] { req_arrive(hid); });
+        sim.schedule_in(kUnderlayLatency, [this, hid] { req_arrive(hid); });
       }
     }
-    if (attempt < cfg.handshake_backoff.max_retries) {
-      sim.schedule_in(cfg.handshake_backoff.delay(attempt, rng),
+    if (attempt < kHandshakeBackoff.max_retries) {
+      sim.schedule_in(kHandshakeBackoff.delay(attempt),
                       [this, hid, attempt] {
                         start_handshake(hid, attempt + 1);
                       });
@@ -250,7 +252,7 @@ struct RepairSim {
     ++res.handshake_messages;        // the ACK (re-sent on duplicate REQs)
     if (obs != nullptr) obs->add(obs->repair_handshakes);
     if (!underlay_drops()) {
-      sim.schedule_in(cfg.underlay_latency, [this, hid] { ack_arrive(hid); });
+      sim.schedule_in(kUnderlayLatency, [this, hid] { ack_arrive(hid); });
     }
   }
 
@@ -273,24 +275,14 @@ struct RepairSim {
 RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
                         const FailurePlan& plan) {
   LHG_CHECK(cfg.k >= 1, "repair: k {} < 1", cfg.k);
-  LHG_CHECK(cfg.heartbeat_interval > 0 &&
-                cfg.heartbeat_timeout > cfg.heartbeat_interval &&
-                cfg.horizon > 0,
-            "repair: need 0 < interval < timeout and horizon > 0, got "
-            "interval={}, timeout={}, horizon={}",
-            cfg.heartbeat_interval, cfg.heartbeat_timeout, cfg.horizon);
-  LHG_CHECK(cfg.underlay_latency > 0, "repair: underlay latency {} <= 0",
-            cfg.underlay_latency);
+  LHG_CHECK(cfg.horizon > 0, "repair: horizon {} <= 0", cfg.horizon);
   LHG_CHECK(cfg.underlay_loss >= 0.0 && cfg.underlay_loss < 1.0,
             "repair: underlay loss {} out of [0, 1)", cfg.underlay_loss);
-  LHG_CHECK(cfg.handshake_backoff.base > 0.0 &&
-                cfg.handshake_backoff.factor >= 1.0 &&
-                cfg.handshake_backoff.max_retries >= 0,
-            "repair: bad handshake backoff (base={}, factor={}, retries={})",
-            cfg.handshake_backoff.base, cfg.handshake_backoff.factor,
-            cfg.handshake_backoff.max_retries);
-
   const NodeId num = topology.num_nodes();
+  LHG_CHECK(num <= (NodeId{1} << detail::kVcNodeBits),
+            "repair: {} nodes exceed the view-change codec's {}-bit ids", num,
+            detail::kVcNodeBits);
+  check_plan_nodes(plan, num);
   const auto n = static_cast<std::size_t>(num);
 
   // Final membership from the plan: a node is permanently down iff its
@@ -376,7 +368,7 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
 
   apply_failure_plan(s.net, plan);
   HeartbeatDetector detector(
-      s.net, cfg.heartbeat_interval, cfg.heartbeat_timeout, cfg.horizon, s.obs,
+      s.net, kHeartbeatTimeout, cfg.horizon, s.obs,
       [&s](NodeId u) { return s.beat(u); },
       // A suspicion records the first real detection and learns the
       // obituary, which floods it as a view change.

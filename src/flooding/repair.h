@@ -10,10 +10,11 @@
 // that pipeline end to end on one event engine and instruments it:
 //
 //   1. Detection — every node heartbeats its overlay neighbors (RAW
-//      frames on a ReliableLink); a silent neighbor is suspected after
-//      `heartbeat_timeout` by the HeartbeatDetector that run_heartbeat
-//      also uses (heartbeat_detector.h).  A suspicion of a node starts
-//      its obituary's view-change flood.
+//      frames on a ReliableLink) once per kHeartbeatInterval; a silent
+//      neighbor is suspected after 3.5 time units (kHeartbeatTimeout in
+//      repair.cc) by the HeartbeatDetector that run_heartbeat also uses
+//      (heartbeat_detector.h).  A suspicion of a node starts its
+//      obituary's view-change flood.
 //   2. Dissemination — the first suspicion of a node floods a
 //      view-change over the surviving overlay on the reliable layer
 //      (ACK/retransmit with backoff), so single drops cannot silence
@@ -30,7 +31,7 @@
 //      Θ(n) relabeled diff of a fresh lhg::build.  For every target
 //      edge a survivor must initiate (lower id) that the surviving
 //      overlay lacks, it runs a REQ/ACK handshake over the *underlay*
-//      (point-to-point, assumed routable, configurable latency and
+//      (point-to-point, assumed routable, latency 2.0, configurable
 //      loss) with exponential-backoff retries.  Handshakes persist
 //      through a peer's down window, which is how recovered nodes are
 //      re-adopted.
@@ -74,25 +75,17 @@ struct RepairConfig {
   std::int32_t k = 3;
   Constraint constraint = Constraint::kKTree;
 
-  double heartbeat_interval = 1.0;
-  double heartbeat_timeout = 3.5;  ///< silence before suspicion (> interval)
-  double horizon = 60.0;           ///< heartbeats stop here (hard stop)
+  double horizon = 60.0;  ///< heartbeats stop here (hard stop)
 
   LatencySpec latency = LatencySpec::fixed(1.0);
   std::uint64_t seed = 1;
   /// Overlay channel conditions (loss/burst/duplication/reorder).
   ChaosSpec chaos{};
 
-  /// Retry schedule for view-change dissemination on the overlay.
-  /// Persists through down windows so flapped links don't eat updates.
-  BackoffPolicy view_backoff{3.0, 2.0, 24.0, 0.0, 6, true};
-
-  /// Underlay model for rewiring handshakes: any two survivors can
-  /// exchange REQ/ACK point-to-point at this latency and loss.
-  double underlay_latency = 2.0;
+  /// Underlay loss for rewiring handshakes: any two survivors can
+  /// exchange REQ/ACK point-to-point, each copy dropped with this
+  /// probability.
   double underlay_loss = 0.0;
-  /// Retry schedule for REQ/ACK handshakes (per needed edge).
-  BackoffPolicy handshake_backoff{4.0, 2.0, 32.0, 0.0, 8, true};
 
   /// Metrics / trace recording (off by default: zero overhead).
   obs::ObsConfig obs{};
@@ -150,6 +143,30 @@ struct RepairResult {
   /// Dense survivor id -> original node id, ascending.
   std::vector<core::NodeId> survivor_ids;
 };
+
+namespace detail {
+
+/// View-change payload on the reliable layer, packed into the
+/// ReliableLink::kPayloadBits payload bits: bit 0 the kind (0 a node
+/// went down, 1 it asserts aliveness), the next kVcNodeBits the node
+/// id, the rest the rumor's epoch.  run_repair keeps n·n view state, so
+/// no runnable overlay comes near 2^20 nodes; it rejects larger ones,
+/// and an epoch outside its field is a contract error, never a wrap.
+inline constexpr std::int32_t kVcNodeBits = 20;
+inline constexpr std::int32_t kVcEpochBits =
+    ReliableLink::kPayloadBits - 1 - kVcNodeBits;
+
+std::int64_t vc_payload(core::NodeId node, std::int32_t epoch, bool up);
+constexpr bool vc_is_up(std::int64_t payload) { return (payload & 1) != 0; }
+constexpr core::NodeId vc_node(std::int64_t payload) {
+  return static_cast<core::NodeId>((payload >> 1) &
+                                   ((std::int64_t{1} << kVcNodeBits) - 1));
+}
+constexpr std::int32_t vc_epoch(std::int64_t payload) {
+  return static_cast<std::int32_t>(payload >> (1 + kVcNodeBits));
+}
+
+}  // namespace detail
 
 /// Simulates detection, dissemination and rewiring of `topology` (the
 /// overlay in service) under `plan`, to quiescence.  Throws

@@ -8,8 +8,8 @@
 //   P3  link minimality       — for each (or each sampled) edge e,
 //                               κ(G−e) < κ(G) or λ(G−e) < λ(G)
 //   P4  logarithmic diameter  — exact diameter, reported together with
-//                               the log₂(n) ratio; judged against a
-//                               caller-supplied constant
+//                               the log₂(n) ratio; passes iff
+//                               diameter <= 4·log₂(n) + 2
 //   P5  k-regularity          — degree spread (informational: an LHG
 //                               need not be regular)
 //
@@ -23,22 +23,15 @@
 #include <string>
 
 #include "core/graph.h"
-#include "core/rng.h"
 
 namespace lhg {
 
 struct VerifyOptions {
   /// Check P3 on every edge (exact) or on at most this many uniformly
-  /// sampled edges (0 = all edges).  Minimality checks cost one κ and
-  /// one λ computation per edge, so large graphs want sampling.
+  /// sampled edges (0 = all edges; the sample's seed is fixed).
+  /// Minimality checks cost one κ and one λ computation per edge, so
+  /// large graphs want sampling.
   std::int64_t minimality_sample = 0;
-
-  /// P4 passes iff diameter <= log_diameter_constant · log2(n) + 2.
-  /// The +2 absorbs tiny-n noise (log2 of the minimum graph is ~2.5).
-  double log_diameter_constant = 4.0;
-
-  /// Seed for edge sampling.
-  std::uint64_t seed = 0x5eedULL;
 };
 
 struct VerificationReport {

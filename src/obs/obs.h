@@ -1,10 +1,11 @@
 // Simulator-facing observability surface: ObsConfig knob, the SimObs
 // handle bundle the instrumented components record through, and the
-// Runtime that owns the registry + trace sink for one run.
+// Runtime that owns the registry + trace sinks for one run.
 //
 // Wiring pattern (DESIGN.md §12): a protocol entry point builds a
 // `Runtime` from the caller's `ObsConfig`, hands `runtime.obs()` (a
-// `const SimObs*`, nullptr when disabled) to each component via
+// `const SimObs*`, nullptr when disabled; the sharded engine takes
+// `runtime.shard_obs()`, one per shard) to each component via
 // `set_obs`, and harvests `runtime.metrics_snapshot()` /
 // `runtime.trace_log()` into the result at finalize time.  Components
 // guard every record with `if (obs_)` — one predictable branch; with
@@ -124,51 +125,41 @@ class SimObs {
   std::int32_t shard_;
 };
 
-/// Tag selecting Runtime's per-shard-handles mode (sharded engine).
-struct PerShardHandles {};
-
-/// Owns the registry + sink for one run (or one trial).  Cheap to
+/// Owns the registry + sinks for one run (or one trial).  Cheap to
 /// construct when disabled: no allocation at all, `obs()` is nullptr.
+///
+/// One SimObs per shard, all sharing a single registered schema on one
+/// Registry(shards), plus one TraceSink per shard so lanes of the
+/// sharded engine (shard_sim.h) never share a ring.  Every engine but
+/// the sharded one runs at the default single shard.
 class Runtime {
  public:
   explicit Runtime(const ObsConfig& config, std::int32_t shards = 1);
 
-  /// Per-shard-handles mode, for the sharded engine (shard_sim.h): one
-  /// SimObs per shard — all sharing a single registered schema on one
-  /// Registry(shards) — plus one TraceSink per shard so lanes never
-  /// share a ring.  `metrics_snapshot()` merges shard slabs in index
-  /// order as always; `trace_log()` merges the rings by (time, shard),
-  /// summing the per-ring drop counts.  `obs()` is nullptr in this
-  /// mode — use `shard_obs()`.
-  Runtime(const ObsConfig& config, std::int32_t shards, PerShardHandles);
+  /// Shard 0's handle bundle — the whole run's at one shard — or
+  /// nullptr when fully disabled.
+  const SimObs* obs() const {
+    return shard_obs_.empty() ? nullptr : &shard_obs_.front();
+  }
 
-  /// Handle bundle for components, or nullptr when fully disabled.
-  const SimObs* obs() const { return sim_obs_ ? sim_obs_.get() : nullptr; }
-
-  /// Per-shard handle bundle (per-shard mode only; empty otherwise —
-  /// and empty when observability is fully disabled, matching the
-  /// nullptr convention of `obs()`).
+  /// Every shard's handle bundle; empty when fully disabled, matching
+  /// the nullptr convention of `obs()`.
   std::vector<const SimObs*> shard_obs() const;
 
   /// Merged metrics (empty snapshot when metrics are off).
   Snapshot metrics_snapshot() const {
     return registry_ ? registry_->snapshot() : Snapshot{};
   }
-  /// Retained trace events (empty log when tracing is off).  In
-  /// per-shard mode: the shard rings merged by (time, shard index) —
-  /// deterministic at any thread count, but interleaved differently
-  /// than a single-queue run's one ring.
+  /// Retained trace events (empty log when tracing is off).  One shard's
+  /// ring comes back as recorded; several rings merge by (time, shard
+  /// index), summing their drop counts — deterministic at any thread
+  /// count, but interleaved differently than a single-queue run's one
+  /// ring.
   TraceLog trace_log() const;
 
-  const ObsConfig& config() const { return config_; }
-
  private:
-  ObsConfig config_;
   std::unique_ptr<Registry> registry_;
-  std::unique_ptr<TraceSink> sink_;
-  std::unique_ptr<SimObs> sim_obs_;
-  // Per-shard mode only:
-  std::vector<std::unique_ptr<TraceSink>> shard_sinks_;
+  std::vector<std::unique_ptr<TraceSink>> sinks_;
   std::vector<SimObs> shard_obs_;
 };
 

@@ -29,7 +29,7 @@ TEST(Heartbeat, DetectsACrashWithinTimeoutPlusInterval) {
   FailurePlan plan;
   plan.crashes.push_back({5, 10.0});
   const auto result = run_heartbeat(
-      g, {.interval = 1.0, .timeout = 3.0, .horizon = 30.0}, plan);
+      g, {.timeout = 3.0, .horizon = 30.0}, plan);
   ASSERT_EQ(result.detections.size(), 1u);
   const auto& detection = result.detections[0];
   EXPECT_EQ(detection.node, 5);
@@ -56,7 +56,7 @@ TEST(Heartbeat, LossCausesFalseSuspicions) {
   // miss 2 beats in a row over a long horizon.
   const auto g = lhg::build(22, 3);
   const auto result = run_heartbeat(
-      g, {.interval = 1.0, .timeout = 2.1, .horizon = 60.0,
+      g, {.timeout = 2.1, .horizon = 60.0,
           .loss_probability = 0.4, .seed = 3});
   EXPECT_GT(result.false_suspicions, 0);
 }
@@ -64,7 +64,7 @@ TEST(Heartbeat, LossCausesFalseSuspicions) {
 TEST(Heartbeat, GenerousTimeoutSuppressesFalseSuspicions) {
   const auto g = lhg::build(22, 3);
   const auto result = run_heartbeat(
-      g, {.interval = 1.0, .timeout = 8.0, .horizon = 60.0,
+      g, {.timeout = 8.0, .horizon = 60.0,
           .loss_probability = 0.2, .seed = 3});
   EXPECT_EQ(result.false_suspicions, 0);
 }
@@ -79,7 +79,7 @@ TEST(Heartbeat, LinkFailureMakesBothEndpointsSuspectEachOther) {
   FailurePlan plan;
   plan.link_failures.push_back({{u, v}, 10.0});
   const auto result = run_heartbeat(
-      g, {.interval = 1.0, .timeout = 3.0, .horizon = 30.0}, plan);
+      g, {.timeout = 3.0, .horizon = 30.0}, plan);
   // Exactly the two directed arcs across the cut go silent; every other
   // pair keeps beating.
   EXPECT_EQ(result.false_suspicions, 2);
@@ -96,9 +96,7 @@ TEST(Heartbeat, CrashAfterHorizonIgnored) {
 
 TEST(Heartbeat, Validation) {
   const auto g = lhg::build(10, 3);
-  EXPECT_THROW(run_heartbeat(g, {.interval = 0.0}), std::invalid_argument);
-  EXPECT_THROW(run_heartbeat(g, {.interval = 2.0, .timeout = 1.0}),
-               std::invalid_argument);
+  EXPECT_THROW(run_heartbeat(g, {.timeout = 1.0}), std::invalid_argument);
   EXPECT_THROW(run_heartbeat(g, {.horizon = -1.0}), std::invalid_argument);
 }
 
@@ -116,7 +114,7 @@ TEST(HeartbeatDetector, SuspectsACrashWithInlineCallbacksOnly) {
   std::int64_t ticks = 0;
   std::int32_t suspicions = 0;
   HeartbeatDetector detector(
-      net, /*interval=*/1.0, /*timeout=*/3.5, /*horizon=*/20.0,
+      net, /*timeout=*/3.5, /*horizon=*/20.0,
       /*obs=*/nullptr,
       [&](core::NodeId u) {
         ++ticks;
@@ -150,7 +148,7 @@ TEST(HeartbeatDetector, NewerBeatRebutsAStandingSuspicion) {
   apply_failure_plan(net, plan);
   std::int32_t suspicions = 0;
   HeartbeatDetector detector(
-      net, /*interval=*/1.0, /*timeout=*/3.5, /*horizon=*/30.0,
+      net, /*timeout=*/3.5, /*horizon=*/30.0,
       /*obs=*/nullptr,
       [&](core::NodeId u) {
         for (core::NodeId v : g.neighbors(u)) net.send(u, v, 0);

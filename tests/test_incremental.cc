@@ -421,7 +421,6 @@ TEST(Integration, ChurnWithContinuousVerificationStaysKConnected) {
         static_cast<std::uint64_t>(g.num_nodes())));
     cfg.seed = rng();
     cfg.chaos = chaos;
-    cfg.retransmit_interval = 3.0;
     cfg.max_retries = 10;
     // Retry through the partition window instead of abandoning copies
     // whose first attempt was refused at the cut.

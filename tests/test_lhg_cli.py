@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end checks of the built lhg_cli binary: bad input exits 65
-(the CLI's data-error code), a build | verify pipe exits 0.
+(the CLI's data-error code), a build | verify pipe exits 0, and no
+mutated argument list ends the process by a signal.
 
 Usage: test_lhg_cli.py <path/to/lhg_cli> <case>
 Registered in tests/CMakeLists.txt as one ctest per case.
@@ -43,11 +44,58 @@ def build_verify_pipe(cli):
                 "build 20 3 | verify 3")
 
 
+# Arguments mutated to the boundaries a numeric field is most likely to
+# mishandle: negative, zero, scientific notation, just past int32 and
+# int64, a 40-digit run, an empty string, an unknown constraint.  None
+# of them may make lhg_cli allocate without bound, so a size that parses
+# and is merely large is left out.
+MUTATED_ARGV = [
+    ["build", "-5", "4"],
+    ["build", "1e9", "4"],
+    ["build", "0", "4"],
+    ["build", "", "4"],
+    ["build", "2147483648", "4"],
+    ["build", "9223372036854775808", "4"],
+    ["build", "1234567890123456789012345678901234567890", "4"],
+    ["build", "20", "-2147483648"],
+    ["build", "20", "3", "purple"],
+    ["build", "20", "3", "jd"],
+    ["verify", "0"],
+    ["verify", "-1"],
+    ["flood", "0", "99999999999"],
+    ["flood", "-1"],
+    ["flood", "0", "-3"],
+    ["flood", "0", "2147483647"],
+    ["flood", "19", "19"],
+    ["route", "64", "4", "0", "-1"],
+    ["route", "64", "4", "0", "64"],
+    ["route", "-64", "4", "0", "1"],
+    ["route", "64", "4", "63", "0"],
+    ["exists", "-5", "4"],
+    ["exists", "20", "-1"],
+    ["exists", "9223372036854775808", "4"],
+    ["plan", "-5", "4"],
+    ["plan", "20", "1"],
+]
+
+
+def mutated_arguments(cli):
+    graph = run(cli, ["build", "20", "3"])
+    expect_exit(graph, 0, "build 20 3")
+    for args in MUTATED_ARGV:
+        result = run(cli, args, graph.stdout)
+        if result.returncode not in (0, 1, 65):
+            sys.exit(f"lhg_cli {' '.join(args)}: exit {result.returncode}, "
+                     f"expected 0, 1 or 65 (negative = killed by a signal)\n"
+                     f"stderr: {result.stderr[:400]!r}")
+
+
 CASES = {
     "TrailingGarbageArgument": trailing_garbage_argument,
     "OversizedEdgeListHeader": oversized_edge_list_header,
     "DuplicateEdge": duplicate_edge,
     "BuildVerifyPipe": build_verify_pipe,
+    "MutatedArguments": mutated_arguments,
 }
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ TEST_P(LhgDefinition, SatisfiesAllFourProperties) {
   ASSERT_EQ(g.num_nodes(), n);
 
   VerifyOptions options;
-  options.log_diameter_constant = 4.0;
   const auto report = verify(g, k, options);
   EXPECT_TRUE(report.p1_node_connected)
       << to_string(constraint) << " n=" << n << " k=" << k

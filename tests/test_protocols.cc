@@ -140,6 +140,20 @@ TEST(Gossip, Validation) {
   EXPECT_THROW(gossip(10, {.source = 0, .fanout = 0}), std::invalid_argument);
 }
 
+// Plan node ids are range-checked before gossip indexes its per-node
+// aliveness array with them.
+TEST(Gossip, RejectsOutOfRangePlanNodes) {
+  FailurePlan plan;
+  plan.crashes = {{1000000, 1.0}};
+  EXPECT_THROW(gossip(100, {.source = 0, .fanout = 3, .seed = 1}, plan),
+               std::invalid_argument);
+  plan.crashes = {{-1, 1.0}};
+  EXPECT_THROW(gossip(100, {.source = 0}, plan), std::invalid_argument);
+  plan.crashes.clear();
+  plan.recoveries = {{100, 2.0}};
+  EXPECT_THROW(gossip(100, {.source = 0}, plan), std::invalid_argument);
+}
+
 TEST(SpanningTree, MinimumMessagesOnHealthyGraph) {
   const auto g = lhg::build(30, 3);
   const auto result = spanning_tree_multicast(g, {.source = 0});

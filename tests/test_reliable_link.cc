@@ -30,30 +30,18 @@ struct Delivery {
 };
 
 TEST(BackoffPolicy, ExponentialScheduleWithCap) {
-  core::Rng rng(1);
-  const BackoffPolicy policy{1.0, 2.0, 5.0, 0.0, 10, false};
-  EXPECT_DOUBLE_EQ(policy.delay(0, rng), 1.0);
-  EXPECT_DOUBLE_EQ(policy.delay(1, rng), 2.0);
-  EXPECT_DOUBLE_EQ(policy.delay(2, rng), 4.0);
-  EXPECT_DOUBLE_EQ(policy.delay(3, rng), 5.0);  // capped
-  EXPECT_DOUBLE_EQ(policy.delay(9, rng), 5.0);
-}
-
-TEST(BackoffPolicy, JitterStaysWithinBounds) {
-  core::Rng rng(7);
-  BackoffPolicy policy{2.0, 1.0, 0.0, 0.5, 3, false};
-  for (int i = 0; i < 100; ++i) {
-    const double d = policy.delay(0, rng);
-    EXPECT_GE(d, 2.0);
-    EXPECT_LT(d, 3.0);  // 2 * (1 + 0.5 * u), u in [0, 1)
-  }
+  const BackoffPolicy policy{1.0, 2.0, 5.0, 10, false};
+  EXPECT_DOUBLE_EQ(policy.delay(0), 1.0);
+  EXPECT_DOUBLE_EQ(policy.delay(1), 2.0);
+  EXPECT_DOUBLE_EQ(policy.delay(2), 4.0);
+  EXPECT_DOUBLE_EQ(policy.delay(3), 5.0);  // capped
+  EXPECT_DOUBLE_EQ(policy.delay(9), 5.0);
 }
 
 TEST(BackoffPolicy, FixedFactoryMatchesClassicSchedule) {
-  core::Rng rng(1);
   const auto policy = BackoffPolicy::fixed(3.0, 5);
-  EXPECT_DOUBLE_EQ(policy.delay(0, rng), 3.0);
-  EXPECT_DOUBLE_EQ(policy.delay(4, rng), 3.0);
+  EXPECT_DOUBLE_EQ(policy.delay(0), 3.0);
+  EXPECT_DOUBLE_EQ(policy.delay(4), 3.0);
   EXPECT_EQ(policy.max_retries, 5);
   EXPECT_FALSE(policy.persist_when_blocked);
 }
@@ -63,7 +51,7 @@ TEST(ReliableLink, LosslessDeliversOnceWithOneAck) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5));
   std::vector<Delivery> log;
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
@@ -85,7 +73,7 @@ TEST(ReliableLink, RetransmitsUntilDeliveredUnderHeavyLoss) {
   core::Rng rng(3);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.6));
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -104,7 +92,7 @@ TEST(ReliableLink, SuppressesDuplicatedFrames) {
   ChaosSpec chaos;
   chaos.duplicate = 0.9;
   Network net(g, sim, LatencySpec::fixed(1.0), rng, chaos);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5));
   int deliveries = 0;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t) { ++deliveries; });
   for (std::int64_t m = 0; m < 20; ++m) link.send(0, 1, m);
@@ -119,7 +107,7 @@ TEST(ReliableLink, AbandonsAfterRetriesExhausted) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 3), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 3));
   int deliveries = 0;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t) { ++deliveries; });
   net.crash_now(1);  // receiver dead: DATA is transmitted but dropped
@@ -135,7 +123,7 @@ TEST(ReliableLink, BlockedSendAbandonsByDefault) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 5));
   net.fail_link_now(0, 1);
   EXPECT_FALSE(link.send(0, 1, 7));
   sim.run();
@@ -150,7 +138,7 @@ TEST(ReliableLink, PersistentPolicyRidesOutALinkFlap) {
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
   BackoffPolicy policy = BackoffPolicy::fixed(2.0, 10);
   policy.persist_when_blocked = true;
-  ReliableLink link(net, policy, rng);
+  ReliableLink link(net, policy);
   std::vector<Delivery> log;
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
@@ -171,7 +159,7 @@ TEST(ReliableLink, PersistentPolicyReachesARecoveringReceiver) {
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
   BackoffPolicy policy = BackoffPolicy::fixed(2.0, 10);
   policy.persist_when_blocked = true;
-  ReliableLink link(net, policy, rng);
+  ReliableLink link(net, policy);
   std::vector<Delivery> log;
   link.set_deliver_handler([&](NodeId to, NodeId from, std::int64_t payload) {
     log.push_back({to, from, payload, sim.now()});
@@ -192,7 +180,7 @@ TEST(ReliableLink, RawFramesBypassReliability) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 5));
   std::vector<std::int64_t> raw;
   int reliable = 0;
   link.set_raw_handler(
@@ -216,7 +204,7 @@ TEST(ReliableLink, SequenceSpaceWrapsPastTheOldCap) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 0), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 0));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -248,7 +236,7 @@ TEST(ReliableLink, WraparoundBoundaryDedupSuppressesOldSeqReplays) {
   ChaosSpec chaos;
   chaos.duplicate = 0.9;  // most frames arrive twice
   Network net(g, sim, LatencySpec::fixed(1.0), rng, chaos);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -276,7 +264,7 @@ TEST(ReliableLink, BurstBeyondWindowAbandonsOldestAndCountsOverflows) {
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 2));
   std::vector<std::int64_t> got;
   link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
     got.push_back(payload);
@@ -305,7 +293,7 @@ TEST(ReliableLink, SoakFourThousandFramesOneArcUnderLoss) {
   core::Rng rng(11);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng, ChaosSpec::iid(0.2));
-  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(2.0, 20));
 
   obs::Runtime obs_rt(obs::ObsConfig{true, true, 1 << 12});
   sim.set_obs(obs_rt.obs());
@@ -358,22 +346,35 @@ TEST(ReliableLink, SoakFourThousandFramesOneArcUnderLoss) {
   EXPECT_GT(log.events.size(), 0u);
 }
 
+// The payload widths are contract checks in every build: a payload
+// that would spill into the wire word's sign bit is refused, not
+// wrapped.
+TEST(ReliableLink, RejectsPayloadsWiderThanTheWire) {
+  Simulator sim;
+  core::Rng rng(1);
+  Graph g = pair2();
+  Network net(g, sim, LatencySpec::fixed(1.0), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 0));
+  constexpr std::int64_t kWidest =
+      (std::int64_t{1} << ReliableLink::kPayloadBits) - 1;
+  EXPECT_TRUE(link.send(0, 1, kWidest));
+  EXPECT_THROW(link.send(0, 1, kWidest + 1), std::invalid_argument);
+  EXPECT_THROW(link.send(0, 1, -1), std::invalid_argument);
+  EXPECT_THROW(link.send_raw_arc(0, 1, g.arc_index(0, 1),
+                                 std::int64_t{1} << 61),
+               std::invalid_argument);
+}
+
 TEST(ReliableLink, ValidatesBackoff) {
   Simulator sim;
   core::Rng rng(1);
   Graph g = pair2();
   Network net(g, sim, LatencySpec::fixed(1.0), rng);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{0.0, 1.0, 0.0, 0.0, 5, false},
-                            rng),
+  EXPECT_THROW(ReliableLink(net, BackoffPolicy{0.0, 1.0, 0.0, 5, false}),
                std::invalid_argument);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 0.5, 0.0, 0.0, 5, false},
-                            rng),
+  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 0.5, 0.0, 5, false}),
                std::invalid_argument);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 1.0, 0.0, 1.5, 5, false},
-                            rng),
-               std::invalid_argument);
-  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 1.0, 0.0, 0.0, -1, false},
-                            rng),
+  EXPECT_THROW(ReliableLink(net, BackoffPolicy{1.0, 1.0, 0.0, -1, false}),
                std::invalid_argument);
 }
 

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/connectivity.h"
 #include "core/parallel.h"
@@ -41,14 +43,80 @@ TEST(Repair, EmptyPlanIsAlreadyHealed) {
 TEST(Repair, ValidatesConfig) {
   const auto g = lhg::build(16, 3);
   RepairConfig cfg;
-  cfg.heartbeat_timeout = 0.5;  // below the interval
-  EXPECT_THROW(run_repair(g, cfg, {}), std::invalid_argument);
-  cfg = RepairConfig{};
   cfg.underlay_loss = 1.0;
   EXPECT_THROW(run_repair(g, cfg, {}), std::invalid_argument);
   cfg = RepairConfig{};
   cfg.k = 0;
   EXPECT_THROW(run_repair(g, cfg, {}), std::invalid_argument);
+}
+
+// Plan node ids and the overlay size are checked before run_repair
+// indexes per-node arrays by them or sizes its n·n view state.
+TEST(Repair, RejectsOutOfRangePlanNodesAndOversizedOverlays) {
+  const auto g = lhg::build(16, 3);
+  FailurePlan crash;
+  crash.crashes = {{1000000, 1.0}};
+  EXPECT_THROW(run_repair(g, {}, crash), std::invalid_argument);
+  FailurePlan recovery;
+  recovery.recoveries = {{16, 1.0}};
+  EXPECT_THROW(run_repair(g, {}, recovery), std::invalid_argument);
+  const auto huge =
+      core::Graph::from_edges((NodeId{1} << detail::kVcNodeBits) + 1, {});
+  EXPECT_THROW(run_repair(huge, {}, {}), std::invalid_argument);
+}
+
+// The view-change codec carries epochs past the 12 bits the payload
+// once gave them, through ReliableLink's wire word and back; an epoch
+// outside its field is refused instead of wrapping.
+TEST(Repair, ViewChangeCodecRoundTripsLargeEpochs) {
+  const auto g = core::Graph::from_edges(2, std::vector<core::Edge>{{0, 1}});
+  Simulator sim;
+  core::Rng rng(1);
+  Network net(g, sim, LatencySpec::fixed(1.0), rng);
+  ReliableLink link(net, BackoffPolicy::fixed(3.0, 0));
+  std::vector<std::int64_t> delivered;
+  link.set_deliver_handler([&](NodeId, NodeId, std::int64_t payload) {
+    delivered.push_back(payload);
+  });
+  struct Rumor {
+    NodeId node;
+    std::int32_t epoch;
+    bool up;
+  };
+  constexpr std::int32_t kMaxEpoch = (1 << detail::kVcEpochBits) - 1;
+  constexpr NodeId kMaxNode = (1 << detail::kVcNodeBits) - 1;
+  const std::vector<Rumor> rumors = {
+      {5, 4095, false}, {5, 4096, true}, {0, 60000, false},
+      {kMaxNode, kMaxEpoch, true}, {kMaxNode, kMaxEpoch, false}};
+  for (const Rumor& r : rumors) {
+    EXPECT_TRUE(link.send(0, 1, detail::vc_payload(r.node, r.epoch, r.up)));
+  }
+  sim.run();
+  ASSERT_EQ(delivered.size(), rumors.size());
+  for (std::size_t i = 0; i < rumors.size(); ++i) {
+    EXPECT_EQ(detail::vc_node(delivered[i]), rumors[i].node) << i;
+    EXPECT_EQ(detail::vc_epoch(delivered[i]), rumors[i].epoch) << i;
+    EXPECT_EQ(detail::vc_is_up(delivered[i]), rumors[i].up) << i;
+  }
+  EXPECT_THROW(detail::vc_payload(0, kMaxEpoch + 1, false),
+               std::invalid_argument);
+  EXPECT_THROW(detail::vc_payload(0, -1, true), std::invalid_argument);
+}
+
+// A tiny overlay on a 60%-lossy channel keeps falsely suspecting its
+// members, so epochs climb past 4096 within the horizon.  Rebuttals
+// must keep landing there: with a 12-bit epoch field the assertions
+// wrapped into the wire word's sign bit, every survivor dropped them,
+// and the rebuttal count froze.
+TEST(Repair, SelfRebuttalsKeepGrowingPastEpoch4096) {
+  const auto g = lhg::build(6, 3);
+  auto rebuttals = [&g](double horizon) {
+    return run_repair(
+               g, {.k = 3, .horizon = horizon, .chaos = ChaosSpec::iid(0.6)},
+               {})
+        .self_rebuttals;
+  };
+  EXPECT_GT(rebuttals(60000.0), rebuttals(50000.0));
 }
 
 // The property the subsystem exists for: after f = k-1 crashes — the
@@ -259,7 +327,6 @@ TEST(Repair, RecoveringNodeReceivesSubsequentMessages) {
   // recovery lands.
   ReliableBroadcastConfig cfg;
   cfg.source = 0;
-  cfg.retransmit_interval = 3.0;
   cfg.max_retries = 5;
   const auto rel = reliable_broadcast(g, cfg, plan);
   EXPECT_GE(rel.delivery_time[23], 8.0);
@@ -344,7 +411,6 @@ TEST(Integration, ReliableFloodBeatsRawFloodUnderTwentyPercentLoss) {
     cfg.source = 0;
     cfg.seed = seed;
     cfg.chaos = chaos;
-    cfg.retransmit_interval = 3.0;
     cfg.max_retries = 8;
     const auto rel = reliable_broadcast(g, cfg, {});
     EXPECT_TRUE(rel.all_alive_delivered());

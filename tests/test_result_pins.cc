@@ -179,8 +179,7 @@ TEST(ResultPins, HeartbeatLossyWithTwoCrashes) {
   plan.crashes = {{3, 10.0}, {20, 15.5}};
   const auto r = run_heartbeat(
       g,
-      {.interval = 1.0,
-       .timeout = 3.5,
+      {.timeout = 3.5,
        .horizon = 40.0,
        .latency = LatencySpec::per_send(0.1, 0.2),
        .loss_probability = 0.1,

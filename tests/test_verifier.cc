@@ -74,8 +74,7 @@ TEST(Verifier, RejectsNonMinimalGraph) {
 TEST(Verifier, RejectsLinearDiameter) {
   // A large circulant Harary graph is k-connected and minimal but has
   // linear diameter: exactly the failure LHGs fix (P4).
-  const auto report = verify(harary::circulant(600, 4), 4,
-                             {.log_diameter_constant = 4.0});
+  const auto report = verify(harary::circulant(600, 4), 4);
   EXPECT_TRUE(report.p1_node_connected);
   EXPECT_TRUE(report.p2_link_connected);
   EXPECT_FALSE(report.p4_log_diameter);
