@@ -18,6 +18,7 @@
 #include "flooding/protocols.h"
 #include "flooding/reliable_broadcast.h"
 #include "flooding/repair.h"
+#include "lhg/implicit.h"
 #include "lhg/lhg.h"
 
 namespace lhg::flooding {
@@ -151,6 +152,26 @@ TEST(ResultPins, ShardedFloodFourShardsWithChaos) {
   EXPECT_GT(r.net.lost, 0);
   EXPECT_GT(r.net.duplicated, 0);
   EXPECT_EQ(hash_of(r), 0xe8c5121c8edf09b4ULL);
+}
+
+TEST(ResultPins, ShardedFloodImplicitFourShardsWithChaos) {
+  const ImplicitLhg view(4096, 4);
+  FloodConfig cfg;
+  cfg.source = 3;
+  cfg.latency = LatencySpec::per_link(1.0, 0.5);
+  cfg.seed = 29;
+  cfg.chaos = ChaosSpec::bursty(0.08, 0.3, 0.45);
+  cfg.chaos.duplicate = 0.05;
+  cfg.chaos.reorder = 0.1;
+  cfg.chaos.reorder_jitter = 0.7;
+  cfg.obs = kMetrics;
+  cfg.shards = 4;
+  FailurePlan plan;
+  plan.crashes = {{700, 1.5}, {2900, 3.0}};
+  const auto r = sharded_flood(view, cfg, plan);
+  EXPECT_GT(r.net.lost, 0);
+  EXPECT_GT(r.net.duplicated, 0);
+  EXPECT_EQ(hash_of(r), 0x10e1df904d1b9969ULL);
 }
 
 TEST(ResultPins, ReliableBroadcastTenPercentLoss) {
