@@ -19,6 +19,13 @@
 // LHG_THREADS >= 8 — below that, S=8 lanes measure oversubscription,
 // not the engine.
 //
+// Each S > 1 row also prints the shape of the node -> shard table the
+// flood ran on (`flooding::sharded_simulator`, which splits the view by
+// abstract subtree): the fraction of arcs crossing shards and the
+// heaviest shard's load over the mean.  Both are exact counts, so the
+// row hard-fails (LHG_CHECK) when more than 0.5 % of arcs cross;
+// contiguous id blocks would cross 66.7 % at S = 4.
+//
 // Every row carries peak_rss_bytes; CI gates the --small rows against
 // bench/memory_budget.json, so a sharded engine that quietly clones
 // per-shard copies of shared network state blows the cap even when
@@ -26,7 +33,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,6 +96,39 @@ void check_parity(const DisseminationResult& single,
       "sharded flood NetworkStats diverge at n={} S={}", n, shards);
 }
 
+/// Shape of the node -> shard table `flood()` uses for `view` at
+/// `shards`: cross-shard arc fraction and max / mean shard load.
+struct PartitionShape {
+  double cross_arc_fraction;
+  double max_over_mean_load;
+};
+
+PartitionShape partition_shape(const lhg::ImplicitLhg& view,
+                               std::int32_t shards) {
+  const lhg::flooding::ShardedSimulator sim =
+      lhg::flooding::sharded_simulator(view, shards);
+  std::vector<std::int64_t> load(static_cast<std::size_t>(sim.num_shards()),
+                                 0);
+  std::int64_t cross = 0;
+  for (lhg::core::NodeId v = 0; v < view.num_nodes(); ++v) {
+    const std::int32_t home = sim.shard_of(v);
+    ++load[static_cast<std::size_t>(home)];
+    for (std::int32_t i = 0; i < view.degree(v); ++i) {
+      cross += sim.shard_of(view.neighbor(v, i)) != home ? 1 : 0;
+    }
+  }
+  const double mean = static_cast<double>(view.num_nodes()) / shards;
+  return {static_cast<double>(cross) / view.num_arcs(),
+          static_cast<double>(*std::max_element(load.begin(), load.end())) /
+              mean};
+}
+
+std::string fixed(double v, int digits) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(digits) << v;
+  return out.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,7 +148,9 @@ int main(int argc, char** argv) {
             << core::global_thread_count()
             << ", speedup gate " << (speedup_armed ? "armed" : "off") << "]\n";
   bench::Table table(
-      {"n", "engine", "shards", "ms", "Mev/s", "peak_rss_mb", "speedup"}, 13);
+      {"n", "engine", "shards", "ms", "Mev/s", "peak_rss_mb", "speedup",
+       "cross_arcs", "max/mean"},
+      13);
   table.print_header();
 
   std::vector<std::int64_t> sizes = {65'536};
@@ -125,7 +169,8 @@ int main(int argc, char** argv) {
               "single-queue flood missed nodes at n={}", n);
     table.print_row(n, "single", 1, static_cast<double>(single_ns) / 1e6,
                     mev_per_s(single.events_processed, single_ns),
-                    mb(bench::BenchReport::peak_rss_bytes()), "1.00");
+                    mb(bench::BenchReport::peak_rss_bytes()), "1.00", "-",
+                    "-");
     report.add("flood_single/k=" + std::to_string(k) +
                    "/n=" + std::to_string(n),
                {{"k", k},
@@ -144,12 +189,22 @@ int main(int argc, char** argv) {
       if (shards == 8) s8_ns = wall_ns;
       const double speedup =
           static_cast<double>(single_ns) / static_cast<double>(wall_ns);
-      std::ostringstream sp;
-      sp << std::fixed << std::setprecision(2) << speedup;
+      std::string cross = "-";
+      std::string balance = "-";
+      if (shards > 1) {
+        const PartitionShape shape = partition_shape(view, shards);
+        LHG_CHECK(shape.cross_arc_fraction <= 0.005,
+                  "flood's shard table at n={} S={} crosses {} of arcs "
+                  "(> 0.005): is the subtree partition still in use?",
+                  n, shards, shape.cross_arc_fraction);
+        cross = fixed(shape.cross_arc_fraction, 5);
+        balance = fixed(shape.max_over_mean_load, 3);
+      }
       table.print_row(n, "sharded", shards,
                       static_cast<double>(wall_ns) / 1e6,
                       mev_per_s(sharded.events_processed, wall_ns),
-                      mb(bench::BenchReport::peak_rss_bytes()), sp.str());
+                      mb(bench::BenchReport::peak_rss_bytes()),
+                      fixed(speedup, 2), cross, balance);
       report.add("flood_sharded/k=" + std::to_string(k) +
                      "/n=" + std::to_string(n) + "/s=" + std::to_string(shards),
                  {{"k", k},

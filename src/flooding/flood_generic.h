@@ -15,7 +15,10 @@
 //
 // `sharded_flood` (the sharded engine) and `reliable_broadcast` (sends
 // on ReliableLink) keep their own forward loops but share the
-// first-copy record and the result assembly.
+// first-copy record and the result assembly.  `sharded_flood` runs an
+// `lhg::ImplicitLhg` on its abstract-subtree partition
+// (lhg/partition.h) and every other topology on contiguous id blocks;
+// the results are the same either way.
 //
 // The kernel needs only degree / neighbor enumeration and dense edge
 // ids from the overlay, so it runs over the materialized `core::Graph`
@@ -29,10 +32,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/graph_concept.h"
 #include "flooding/protocols.h"
 #include "flooding/shard_net.h"
+#include "lhg/implicit.h"
+#include "lhg/partition.h"
 
 namespace lhg::flooding {
 
@@ -85,7 +91,11 @@ void assemble_result(DisseminationResult& result, const Net& net,
   result.events_processed = sim.events_processed();
   result.net = net.stats();
   result.metrics = obs_rt.metrics_snapshot();
-  result.trace = obs_rt.trace_log();
+  if constexpr (std::is_same_v<Sim, ShardedSimulator>) {
+    result.trace = obs_rt.node_ordered_trace_log();
+  } else {
+    result.trace = obs_rt.trace_log();
+  }
   finalize_dissemination(result,
                          [&](core::NodeId u) { return net.is_alive(u); });
 }
@@ -141,13 +151,31 @@ DisseminationResult relay_first_copy(const Topology& topology,
 
 }  // namespace detail
 
+/// The engine `sharded_flood` runs `topology` on at `shards` shards:
+/// an ImplicitLhg split by abstract subtree (lhg::subtree_partition),
+/// any other topology into contiguous id blocks.
+template <core::EdgeIndexedGraph Topology>
+ShardedSimulator sharded_simulator(const Topology& topology,
+                                   std::int32_t shards) {
+  if constexpr (std::is_same_v<Topology, ImplicitLhg>) {
+    return ShardedSimulator(
+        subtree_partition(topology.plan(), topology.layout(), shards),
+        shards);
+  } else {
+    return ShardedSimulator(topology.num_nodes(), shards);
+  }
+}
+
 /// Deterministic flooding on the sharded engine: the same protocol as
 /// `flood`, with the node set split over `cfg.shards` calendar queues
 /// driven by core::parallel lanes (shard_sim.h).  Results are
 /// bit-identical at any shard and thread count; chaos-free runs with
 /// kFixed / kUniformPerLink latencies are additionally bit-equal to the
 /// single-queue `flood` (chaotic runs draw from per-arc streams —
-/// shard_net.h documents the semantic difference).  The per-node result
+/// shard_net.h documents the semantic difference).  The node -> shard
+/// table comes from `sharded_simulator`; results do not depend on it.
+/// The trace is merged by (time, acting node), so it too is the same
+/// at every S and partition while no ring wraps.  The per-node result
 /// arrays are written only by each node's owner shard, so the handler
 /// needs no synchronization beyond the engine's phase structure.
 template <core::EdgeIndexedGraph Topology>
@@ -158,7 +186,7 @@ DisseminationResult sharded_flood(const Topology& topology,
   LHG_CHECK_RANGE(cfg.source, topology.num_nodes());
   LHG_CHECK(cfg.shards >= 1, "sharded_flood: shard count {} must be >= 1",
             cfg.shards);
-  ShardedSimulator sim(topology.num_nodes(), cfg.shards);
+  ShardedSimulator sim = sharded_simulator(topology, cfg.shards);
   core::Rng rng(cfg.seed);
   ShardedNetwork<Topology> net(topology, sim, cfg.latency, rng, cfg.chaos);
   obs::Runtime obs_rt(cfg.obs, sim.num_shards());

@@ -75,7 +75,9 @@ struct FloodConfig {
   /// lanes, bit-identical at any shard/thread count.  Chaos-free runs
   /// with kFixed/kUniformPerLink latency are additionally bit-equal to
   /// the single-queue engine; chaotic runs draw from per-arc streams
-  /// instead of one shared generator (DESIGN.md §17).  Clamped to n.
+  /// instead of one shared generator (DESIGN.md §17).  Contiguous id
+  /// blocks clamp it to n; an ImplicitLhg's subtree partition keeps all
+  /// `shards`, some possibly empty.
   std::int32_t shards = 1;
 };
 

@@ -1,27 +1,57 @@
 #include "flooding/shard_sim.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "core/parallel.h"
 
 namespace lhg::flooding {
 
-ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
-                                   std::int32_t num_shards)
-    : num_nodes_(num_nodes) {
+namespace {
+
+// Contiguous blocks of ceil(n / S) ids, S clamped to [1, n].
+std::vector<std::int32_t> contiguous_blocks(std::int32_t num_nodes,
+                                            std::int32_t num_shards) {
   LHG_CHECK(num_nodes > 0, "ShardedSimulator: need at least one node, got {}",
             num_nodes);
   LHG_CHECK(num_shards > 0, "ShardedSimulator: shard count {} must be > 0",
             num_shards);
   const std::int32_t shards = std::min(num_shards, num_nodes);
-  block_ = (num_nodes + shards - 1) / shards;
-  // block_ >= 1, and ceil(n / block_) == shards by construction.
-  shards_.resize(static_cast<std::size_t>((num_nodes + block_ - 1) / block_));
+  const std::int32_t block = (num_nodes + shards - 1) / shards;
+  std::vector<std::int32_t> owner(static_cast<std::size_t>(num_nodes));
+  for (std::int32_t v = 0; v < num_nodes; ++v) {
+    owner[static_cast<std::size_t>(v)] = v / block;
+  }
+  return owner;
+}
+
+}  // namespace
+
+ShardedSimulator::ShardedSimulator(std::vector<std::int32_t> owner,
+                                   std::int32_t num_shards)
+    : owner_(std::move(owner)) {
+  LHG_CHECK(!owner_.empty() &&
+                owner_.size() <= static_cast<std::size_t>(INT32_MAX),
+            "ShardedSimulator: owner table of {} nodes", owner_.size());
+  LHG_CHECK(num_shards > 0, "ShardedSimulator: shard count {} must be > 0",
+            num_shards);
+  for (std::size_t v = 0; v < owner_.size(); ++v) {
+    LHG_CHECK(owner_[v] >= 0 && owner_[v] < num_shards,
+              "ShardedSimulator: node {} owned by shard {}, outside [0, {})",
+              v, owner_[v], num_shards);
+  }
+  shards_.resize(static_cast<std::size_t>(num_shards));
   for (Shard& sh : shards_) {
     sh.outbox.resize(shards_.size());
   }
-  node_seq_.assign(static_cast<std::size_t>(num_nodes), 0);
+  node_seq_.assign(owner_.size(), 0);
 }
+
+ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
+                                   std::int32_t num_shards)
+    : ShardedSimulator(contiguous_blocks(num_nodes, num_shards),
+                       std::min(num_shards, num_nodes)) {}
 
 ShardedSimulator::~ShardedSimulator() { destroy_pending_callbacks(); }
 

@@ -17,6 +17,12 @@
 // at any shard count and any thread count (DESIGN.md §17 has the
 // argument).
 //
+// Which node lives on which shard is one table, `owner`, handed in by
+// the caller: lhg::subtree_partition for an ImplicitLhg (whole abstract
+// subtrees per shard, so almost no arc crosses), or contiguous id blocks
+// for any other topology.  The key names no shard, so the table moves
+// only cost — cross-shard traffic and lane balance — never a result.
+//
 // Conservative PDES windowing (the classic lookahead recipe): between
 // barriers, shard s drains only events with time < window_end, where
 //
@@ -91,9 +97,15 @@ class ShardedSimulator {
     ~DeliverSink() = default;
   };
 
-  /// Nodes [0, num_nodes) are split into `num_shards` contiguous
-  /// blocks of ceil(n / S) (the last may be smaller); shard count is
-  /// clamped to [1, num_nodes].
+  /// Node v lives on shard `owner[v]`; every entry must lie in
+  /// [0, num_shards), and a shard may own no node at all.  Which table
+  /// is used never changes a result (canonical keys name nodes, not
+  /// shards) — only how much traffic crosses the barrier.
+  ShardedSimulator(std::vector<std::int32_t> owner, std::int32_t num_shards);
+
+  /// The partition for topologies without a tree plan: nodes
+  /// [0, num_nodes) split into contiguous blocks of ceil(n / S), with
+  /// the shard count clamped to [1, num_nodes].
   ShardedSimulator(std::int32_t num_nodes, std::int32_t num_shards);
   ~ShardedSimulator();
 
@@ -103,8 +115,12 @@ class ShardedSimulator {
   std::int32_t num_shards() const {
     return static_cast<std::int32_t>(shards_.size());
   }
-  std::int32_t num_nodes() const { return num_nodes_; }
-  std::int32_t shard_of(std::int32_t node) const { return node / block_; }
+  std::int32_t num_nodes() const {
+    return static_cast<std::int32_t>(owner_.size());
+  }
+  std::int32_t shard_of(std::int32_t node) const {
+    return owner_[static_cast<std::size_t>(node)];
+  }
 
   void set_deliver_sink(DeliverSink* sink) { sink_ = sink; }
 
@@ -168,7 +184,7 @@ class ShardedSimulator {
   template <typename F>
   void schedule_node_at(std::int32_t ctx, double time, std::int32_t owner,
                         F&& fn) {
-    LHG_CHECK_RANGE(owner, num_nodes_);
+    LHG_CHECK_RANGE(owner, num_nodes());
     Shard& dst = shards_[static_cast<std::size_t>(shard_of(owner))];
     Event ev;
     ev.key = make_key(ctx);
@@ -359,8 +375,7 @@ class ShardedSimulator {
   void run_impl(double deadline, bool bounded);
   void destroy_pending_callbacks();
 
-  std::int32_t num_nodes_;
-  std::int32_t block_;  // nodes per shard (ceil division)
+  std::vector<std::int32_t> owner_;  // node -> shard
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> node_seq_;  // per-origin creation counters
   std::uint64_t env_seq_for_key_ = 0;    // env-origin key counter

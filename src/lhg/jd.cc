@@ -12,19 +12,23 @@ void check_k(std::int32_t k) {
   LHG_CHECK(k >= 2, "J&D construction requires k >= 2, got {}", k);
 }
 
+// 2k and the lattice step 2(k−1), in 64 bits: k may be up to 2^31 − 1.
+std::int64_t two_k(std::int32_t k) { return 2 * std::int64_t{k}; }
+std::int64_t step_of(std::int32_t k) { return 2 * (std::int64_t{k} - 1); }
+
 }  // namespace
 
 std::optional<TreePlan> plan(std::int64_t n, std::int32_t k) {
   check_k(k);
-  if (n < 2 * k) return std::nullopt;
+  if (n < two_k(k)) return std::nullopt;
 
   // Regular lattice points are n0(α) = 2k + 2α(k−1); walk α downward
   // from the largest candidate and stop once the deficit j exceeds the
   // absorbable maximum 2k (it only grows as α shrinks).
-  const std::int64_t step = 2 * (k - 1);
-  for (std::int64_t alpha = (n - 2 * k) / step; alpha >= 0; --alpha) {
-    const std::int64_t j = n - 2 * k - alpha * step;
-    if (j > 2 * k) break;
+  const std::int64_t step = step_of(k);
+  for (std::int64_t alpha = (n - two_k(k)) / step; alpha >= 0; --alpha) {
+    const std::int64_t j = n - two_k(k) - alpha * step;
+    if (j > two_k(k)) break;
     const auto num_interiors = static_cast<std::int32_t>(alpha + 1);
     const std::int32_t exceptions_available =
         std::min(k, count_bottom_interiors(k, num_interiors));
@@ -50,8 +54,8 @@ bool exists(std::int64_t n, std::int32_t k) { return plan(n, k).has_value(); }
 
 bool regular_exists(std::int64_t n, std::int32_t k) {
   check_k(k);
-  if (n < 2 * k) return false;
-  return (n - 2 * k) % (2 * (k - 1)) == 0;
+  if (n < two_k(k)) return false;
+  return (n - two_k(k)) % step_of(k) == 0;
 }
 
 }  // namespace lhg::jd

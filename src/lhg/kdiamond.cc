@@ -6,11 +6,14 @@ namespace lhg::kdiamond {
 
 namespace {
 
+// 2k in 64 bits: k may be up to 2^31 − 1.
+std::int64_t two_k(std::int32_t k) { return 2 * std::int64_t{k}; }
+
 void check_args(std::int64_t n, std::int32_t k) {
   LHG_CHECK(k >= 2, "K-DIAMOND requires k >= 2, got {}", k);
-  LHG_CHECK(n >= 2 * k,
+  LHG_CHECK(n >= two_k(k),
             "no K-DIAMOND LHG exists for (n={}, k={}): need n >= 2k = {}", n,
-            k, 2 * k);
+            k, two_k(k));
 }
 
 }  // namespace
@@ -18,8 +21,8 @@ void check_args(std::int64_t n, std::int32_t k) {
 TreePlan plan(std::int64_t n, std::int32_t k) {
   check_args(n, k);
   const std::int64_t step = k - 1;
-  const std::int64_t alpha = (n - 2 * k) / step;
-  const std::int64_t j = (n - 2 * k) % step;  // 0 <= j <= k-2
+  const std::int64_t alpha = (n - two_k(k)) / step;
+  const std::int64_t j = (n - two_k(k)) % step;  // 0 <= j <= k-2
   // Split α into tree growth (2 lattice steps per extra interior) and
   // leaf-group conversions (1 lattice step each).
   const std::int64_t beta = alpha / 2;
@@ -40,11 +43,11 @@ TreePlan plan(std::int64_t n, std::int32_t k) {
 
 bool exists(std::int64_t n, std::int32_t k) {
   LHG_CHECK(k >= 2, "K-DIAMOND requires k >= 2, got {}", k);
-  return n >= 2 * k;
+  return n >= two_k(k);
 }
 
 bool regular_exists(std::int64_t n, std::int32_t k) {
-  return exists(n, k) && (n - 2 * k) % (k - 1) == 0;
+  return exists(n, k) && (n - two_k(k)) % (k - 1) == 0;
 }
 
 }  // namespace lhg::kdiamond

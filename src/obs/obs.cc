@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
+
+#include "core/check.h"
 
 namespace lhg::obs {
 
@@ -64,44 +65,47 @@ std::vector<const SimObs*> Runtime::shard_obs() const {
 }
 
 TraceLog Runtime::trace_log() const {
-  if (sinks_.empty()) return TraceLog{};
-  if (sinks_.size() == 1) return sinks_.front()->log();
-  // Merge the shard rings by (time, shard index); within a shard the
-  // ring order is preserved, so the merged log is deterministic at any
-  // thread count.
+  LHG_CHECK(sinks_.size() <= 1,
+            "Runtime::trace_log: {} rings need node_ordered_trace_log()",
+            sinks_.size());
+  return sinks_.empty() ? TraceLog{} : sinks_.front()->log();
+}
+
+TraceLog Runtime::node_ordered_trace_log() const {
   TraceLog merged;
-  struct Cursor {
-    std::size_t shard;
-    TraceLog log;
-  };
-  std::vector<Cursor> cursors;
+  std::vector<TraceLog> rings;
+  rings.reserve(sinks_.size());
   std::size_t total = 0;
-  for (std::size_t s = 0; s < sinks_.size(); ++s) {
-    Cursor c{s, sinks_[s]->log()};
-    merged.dropped += c.log.dropped;
-    total += c.log.events.size();
-    cursors.push_back(std::move(c));
+  for (const auto& sink : sinks_) {
+    rings.push_back(sink->log());
+    merged.dropped += rings.back().dropped;
+    total += rings.back().events.size();
   }
   struct Tagged {
     double time;
-    std::size_t shard;
+    std::int32_t node;
+    std::size_t ring;
     std::size_t index;
   };
   std::vector<Tagged> order;
   order.reserve(total);
-  for (const Cursor& c : cursors) {
-    for (std::size_t i = 0; i < c.log.events.size(); ++i) {
-      order.push_back(Tagged{c.log.events[i].time, c.shard, i});
+  for (std::size_t r = 0; r < rings.size(); ++r) {
+    const std::vector<TraceEvent>& events = rings[r].events;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      order.push_back(Tagged{events[i].time, acting_node(events[i]), r, i});
     }
   }
+  // One node's events all sit in one ring, so (ring, index) only orders
+  // a node's own same-time events — by execution.
   std::sort(order.begin(), order.end(), [](const Tagged& a, const Tagged& b) {
     if (a.time != b.time) return a.time < b.time;
-    if (a.shard != b.shard) return a.shard < b.shard;
+    if (a.node != b.node) return a.node < b.node;
+    if (a.ring != b.ring) return a.ring < b.ring;
     return a.index < b.index;
   });
   merged.events.reserve(total);
   for (const Tagged& t : order) {
-    merged.events.push_back(cursors[t.shard].log.events[t.index]);
+    merged.events.push_back(rings[t.ring].events[t.index]);
   }
   return merged;
 }

@@ -150,12 +150,18 @@ class Runtime {
   Snapshot metrics_snapshot() const {
     return registry_ ? registry_->snapshot() : Snapshot{};
   }
-  /// Retained trace events (empty log when tracing is off).  One shard's
-  /// ring comes back as recorded; several rings merge by (time, shard
-  /// index), summing their drop counts — deterministic at any thread
-  /// count, but interleaved differently than a single-queue run's one
-  /// ring.
+  /// Retained trace events of a one-ring runtime, as recorded (empty
+  /// log when tracing is off).  The serial engines' trace.
   TraceLog trace_log() const;
+
+  /// Every shard's ring merged by (time, acting node), ring order
+  /// breaking ties, summing the drop counts — the sharded engine's
+  /// trace.  That engine records each event in the ring of the shard
+  /// owning its acting node, in that node's execution order, so the
+  /// merged log is the same at any shard count, partition and thread
+  /// count as long as no ring wraps.  A wrapped ring keeps the newest
+  /// events of its own shard, a subset that depends on the partition.
+  TraceLog node_ordered_trace_log() const;
 
  private:
   std::unique_ptr<Registry> registry_;

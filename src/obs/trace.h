@@ -61,6 +61,19 @@ struct TraceEvent {
   TraceKind kind = TraceKind::kSend;
 };
 
+/// The node whose handler recorded `e`.  A copy dropped at delivery
+/// (receiver crashed, link down, partition) is recorded by its receiver,
+/// `peer`; every other event by `node`.
+inline std::int32_t acting_node(const TraceEvent& e) {
+  if (e.kind == TraceKind::kDrop &&
+      (e.detail == static_cast<std::int64_t>(DropCause::kReceiverCrashed) ||
+       e.detail == static_cast<std::int64_t>(DropCause::kLinkDown) ||
+       e.detail == static_cast<std::int64_t>(DropCause::kPartition))) {
+    return e.peer;
+  }
+  return e.node;
+}
+
 /// Chronological dump of a sink — what a run result carries around.
 struct TraceLog {
   std::vector<TraceEvent> events;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "lhg/lhg.h"
 
 namespace lhg {
@@ -143,6 +146,18 @@ TEST(Regularity, RegularImpliesMinimumEdgeCount) {
       EXPECT_EQ(g.num_edges(), (static_cast<std::int64_t>(k) * n + 1) / 2);
     }
   }
+}
+
+TEST(Existence, TwoKPastInt32IsComputedIn64Bits) {
+  // 2k = 2^31 overflows int32; 20 nodes can never host k = 2^30.
+  constexpr std::int32_t k = 1 << 30;
+  for (const Constraint c :
+       {Constraint::kStrictJD, Constraint::kKTree, Constraint::kKDiamond}) {
+    EXPECT_FALSE(exists(20, k, c)) << to_string(c);
+    EXPECT_FALSE(regular_exists(20, k, c)) << to_string(c);
+    EXPECT_THROW(build(20, k, c), std::invalid_argument) << to_string(c);
+  }
+  EXPECT_TRUE(exists(std::int64_t{1} << 31, k, Constraint::kKTree));
 }
 
 TEST(Existence, ValidationErrors) {

@@ -44,6 +44,18 @@ def build_verify_pipe(cli):
                 "build 20 3 | verify 3")
 
 
+def overflowing_k(cli):
+    # 2k does not fit in 32 bits: no LHG on 20 nodes, nothing allocated.
+    answered = run(cli, ["exists", "20", "1073741824"])
+    expect_exit(answered, 0, "exists 20 1073741824")
+    lines = answered.stdout.decode().splitlines()
+    if len(lines) != 3 or not all("EX=no" in line for line in lines):
+        sys.exit(f"exists 20 1073741824: expected EX=no on every line, got "
+                 f"{answered.stdout!r}")
+    expect_exit(run(cli, ["build", "20", "1073741824"]), 65,
+                "build 20 1073741824")
+
+
 # Arguments mutated to the boundaries a numeric field is most likely to
 # mishandle: negative, zero, scientific notation, just past int32 and
 # int64, a 40-digit run, an empty string, an unknown constraint.  None
@@ -96,6 +108,7 @@ CASES = {
     "DuplicateEdge": duplicate_edge,
     "BuildVerifyPipe": build_verify_pipe,
     "MutatedArguments": mutated_arguments,
+    "OverflowingK": overflowing_k,
 }
 
 if __name__ == "__main__":

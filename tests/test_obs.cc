@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -244,6 +245,37 @@ TEST(Runtime, MetricsOnlyAndTraceOnlyModes) {
   ASSERT_EQ(log.events.size(), 1u);
   EXPECT_EQ(log.events[0].kind, TraceKind::kDrop);
   EXPECT_TRUE(trace_only.metrics_snapshot().empty());
+}
+
+TEST(Runtime, NodeOrderedTraceMergesRingsByTimeThenActingNode) {
+  Runtime rt(ObsConfig{false, true, 64}, 2);
+  const std::vector<const SimObs*> taps = rt.shard_obs();
+  // Ring 0 holds nodes 0 and 2, ring 1 node 1, each in execution order.
+  taps[0]->event(0.5, TraceKind::kDrop, 2, 0,
+                 static_cast<std::int64_t>(DropCause::kReceiverCrashed));
+  taps[0]->event(1.0, TraceKind::kDeliver, 2, 1);
+  taps[0]->event(1.0, TraceKind::kSend, 0, 1);
+  taps[1]->event(0.5, TraceKind::kDrop, 1, 2,
+                 static_cast<std::int64_t>(DropCause::kChannelLoss));
+  taps[1]->event(1.0, TraceKind::kSend, 1, 0);
+  taps[1]->event(1.0, TraceKind::kDeliver, 1, 0);
+
+  const TraceLog log = rt.node_ordered_trace_log();
+  // A copy dropped at delivery acts at its receiver (peer 0); a channel
+  // loss at its sender (node 1).  A node's same-time events keep their
+  // ring order.
+  const std::vector<std::pair<TraceKind, std::int32_t>> expect = {
+      {TraceKind::kDrop, 2},    {TraceKind::kDrop, 1},
+      {TraceKind::kSend, 0},    {TraceKind::kSend, 1},
+      {TraceKind::kDeliver, 1}, {TraceKind::kDeliver, 2}};
+  ASSERT_EQ(log.events.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(log.events[i].kind, expect[i].first) << i;
+    EXPECT_EQ(log.events[i].node, expect[i].second) << i;
+  }
+  EXPECT_EQ(log.dropped, 0);
+  // Several rings have no recording order of their own.
+  EXPECT_THROW(rt.trace_log(), std::invalid_argument);
 }
 
 TEST(Runtime, MilliTickScaling) {

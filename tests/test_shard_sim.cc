@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/parallel.h"
@@ -350,6 +352,96 @@ TEST(ShardedFlood, ShardThreadSweepParallelDeterminism) {
     }
   }
   core::set_global_thread_count(previous);
+}
+
+TEST(ShardedFlood, SubtreeAndBlockPartitionsBitIdentical) {
+  // sharded_flood runs an ImplicitLhg on its abstract-subtree partition
+  // and the materialized graph on contiguous id blocks.  Canonical keys
+  // and per-arc streams name nodes and edges, not shards, so the two
+  // partitions must agree bit for bit under chaos and failures.
+  for (const std::int32_t k : {3, 4}) {
+    const ImplicitLhg view(1000, k);
+    const core::Graph g = view.materialize();
+    const FailurePlan plan = chaos_plan(g);
+    for (const std::int32_t shards : {2, 4, 8}) {
+      FloodConfig cfg = chaos_config();
+      cfg.shards = shards;
+      const DisseminationResult subtree = sharded_flood(view, cfg, plan);
+      const DisseminationResult block = sharded_flood(g, cfg, plan);
+      EXPECT_GT(subtree.net.lost, 0);
+      expect_results_equal(subtree, block);
+      EXPECT_EQ(subtree.metrics.to_json(), block.metrics.to_json())
+          << "k=" << k << " shards=" << shards;
+    }
+  }
+}
+
+TEST(ShardedFlood, EmptyShardsRunOnATinyImplicitLhg) {
+  // n = 2k is one abstract subtree: seven of eight shards own nothing,
+  // and the run still equals the single-queue flood.
+  const ImplicitLhg view(8, 4);
+  FloodConfig cfg;
+  cfg.source = 2;
+  const DisseminationResult serial = flood(view, cfg);
+  cfg.shards = 8;
+  const DisseminationResult sharded = flood(view, cfg);
+  EXPECT_TRUE(sharded.all_alive_delivered());
+  expect_results_equal(serial, sharded);
+}
+
+void expect_traces_equal(const obs::TraceLog& a, const obs::TraceLog& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.dropped, b.dropped) << what;
+  ASSERT_EQ(a.events.size(), b.events.size()) << what;
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const obs::TraceEvent& x = a.events[i];
+    const obs::TraceEvent& y = b.events[i];
+    ASSERT_TRUE(x.time == y.time && x.kind == y.kind && x.node == y.node &&
+                x.peer == y.peer && x.detail == y.detail)
+        << what << ": event " << i << " differs";
+  }
+}
+
+TEST(ShardedFlood, TraceIsInvariantUnderShardCountAndPartition) {
+  // Each event sits in the ring of its acting node's shard, in that
+  // node's execution order, so the (time, acting node) merge is the
+  // same trace at every S and under both partitions — chaos drops,
+  // crashes and partition drops included.  The ring never wraps here.
+  const ImplicitLhg view(64, 4);
+  const core::Graph g = view.materialize();
+  FloodConfig cfg = chaos_config();
+  FailurePlan plan = chaos_plan(g);
+  // Node r, two hops out, relays at t = 2.  Crashing r and the nodes it
+  // relays to at t = 3 drops r's copies at their receivers, in lower
+  // blocks' rings, at the instant r's own crash enters r's ring: the
+  // merge must order those by acting node, not by ring.
+  const NodeId hop1 = g.neighbors(cfg.source).back();
+  const NodeId r = g.neighbors(hop1).back();
+  plan.crashes.push_back({r, 3.0});
+  for (const NodeId v : g.neighbors(r)) {
+    if (v != hop1) plan.crashes.push_back({v, 3.0});
+  }
+  cfg.obs.trace = true;
+  cfg.obs.trace_capacity = 1 << 16;
+  cfg.shards = 1;
+  const DisseminationResult base = sharded_flood(g, cfg, plan);
+  ASSERT_EQ(base.trace.dropped, 0);
+  ASSERT_TRUE(std::any_of(
+      base.trace.events.begin(), base.trace.events.end(),
+      [&](const obs::TraceEvent& e) {
+        return e.time == 3.0 && e.kind == obs::TraceKind::kDrop &&
+               e.node == r &&
+               e.detail ==
+                   static_cast<std::int64_t>(obs::DropCause::kReceiverCrashed);
+      }));
+  for (const std::int32_t shards : {1, 2, 4, 8}) {
+    cfg.shards = shards;
+    const std::string at = "S=" + std::to_string(shards);
+    expect_traces_equal(base.trace, sharded_flood(g, cfg, plan).trace,
+                        at + " blocks");
+    expect_traces_equal(base.trace, sharded_flood(view, cfg, plan).trace,
+                        at + " subtrees");
+  }
 }
 
 TEST(ShardedFlood, SingleQueueParityHoldsAcrossThreadCounts) {
