@@ -81,6 +81,24 @@ TEST(ShardedSimulator, ControlRunsBeforeSameTimeNodeEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(ShardedSimulator, ControlEventsScheduledAtTheirOwnTimeRunInTheSamePhase) {
+  // A control event may schedule further control and node events at its
+  // own timestamp: the new control event still runs in the same control
+  // phase, and the node event after it.
+  ShardedSimulator sim(4, 2);
+  std::vector<std::string> order;
+  sim.schedule_control_at(1.0, [&](std::int32_t) {
+    order.push_back("c1");
+    sim.schedule_control_at(1.0, [&](std::int32_t) { order.push_back("c2"); });
+    sim.schedule_node_at(ShardedSimulator::kEnvOrigin, 1.0, 3,
+                         [&](std::int32_t) { order.push_back("node"); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"c1", "c2", "node"}));
+  EXPECT_EQ(sim.events_processed(), 3);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(ShardedSimulator, SameTimeEventsRunInCreationOrderPerOrigin) {
   // Ten same-time events from the environment run in creation order —
   // the serial engine's insertion-order contract, reproduced by the
