@@ -25,6 +25,13 @@ namespace lhg::core {
 /// Node identifier: dense indices in [0, num_nodes()).
 using NodeId = std::int32_t;
 
+/// Largest graph any input surface or builder accepts, in nodes.  Edge-
+/// list and plan readers, and the builders that realize a plan, allocate
+/// O(n) before they can check anything else, so sizes above this are
+/// refused up front; ten million is well above any graph the library
+/// materializes (ImplicitLhg(10^7) is the largest bench).
+inline constexpr std::int64_t kMaxNodes = 10'000'000;
+
 /// An undirected edge in canonical form (u < v after normalization).
 struct Edge {
   NodeId u = 0;

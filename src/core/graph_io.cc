@@ -33,12 +33,6 @@ void write_edge_list(const Graph& g, std::ostream& out) {
 
 namespace {
 
-/// Largest node count an edge-list header may declare.  The reader
-/// allocates O(n) before it sees a single edge, so an unchecked header
-/// could demand gigabytes (or wrap past NodeId); ten million nodes is
-/// well above any materialized graph the library builds.
-constexpr std::int64_t kMaxEdgeListNodes = 10'000'000;
-
 /// Edges reserved up front at most; a larger (but legal) header grows
 /// the vector as real edge lines arrive instead of trusting the count.
 constexpr std::int64_t kMaxEdgeReserve = 1 << 20;
@@ -59,9 +53,9 @@ Graph read_edge_list(std::istream& in) {
   std::int64_t m = -1;
   LHG_CHECK((header >> n >> m) && n >= 0 && m >= 0,
             "edge list: malformed header '{}'", line);
-  LHG_CHECK(n <= kMaxEdgeListNodes,
+  LHG_CHECK(n <= kMaxNodes,
             "edge list: {} nodes exceeds the limit of {}", n,
-            kMaxEdgeListNodes);
+            kMaxNodes);
   LHG_CHECK(m <= n * (n - 1) / 2,
             "edge list: {} edges exceed the {} a simple graph on {} nodes "
             "can have",

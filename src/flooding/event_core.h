@@ -14,6 +14,22 @@
 //     `seq`, ordered by (time, seq).  `seq` is unique per heap, so the
 //     order is total and the heap's arity cannot change which ref pops
 //     next — only how fast it is found.
+//
+//   * BucketQueue<Event> — the calendar queue under the serial engine,
+//     every shard of the sharded engine and the sharded control lane.
+//     Pending events live in per-time FIFO buckets; an EventHeap orders
+//     only the *distinct* pending times, keyed by bucket creation seq.
+//     Simulated protocols schedule in long runs of equal timestamps
+//     (every hop of a fixed-latency flood lands on the same instant), so
+//     the common push appends to the last bucket in O(1) and the heap
+//     sift is paid once per time run, not once per event; all-distinct
+//     timestamps (per-send jitter) degrade to one-event buckets, i.e. an
+//     ordinary heap over pooled, recycled bucket storage.  A bucket is
+//     abandoned as soon as a different time is pushed and never appended
+//     to again, so buckets sharing a time drain in creation order, which
+//     is exactly push order.  Buckets are addressed by index: a push made
+//     while the front bucket drains may reallocate the pool, and a
+//     same-time push lands behind the front bucket's `head`.
 
 #pragma once
 
@@ -23,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -185,6 +202,115 @@ class EventHeap {
   }
 
   std::vector<Ref> heap_;
+};
+
+template <typename Event>
+class BucketQueue {
+ public:
+  bool empty() const { return heap_.empty(); }
+  /// Events pushed and not yet taken or popped with their bucket.
+  std::size_t size() const { return size_; }
+
+  /// Hot path: almost every push lands on the same timestamp as the
+  /// previous one (the next hop round) and appends in O(1).
+  void push(double time, const Event& ev) {
+    ++size_;
+    if (last_ != kNoBucket && buckets_[last_].time == time) {
+      buckets_[last_].events.push_back(ev);
+      return;
+    }
+    enqueue_slow(time, ev);
+  }
+
+  /// Time of the front bucket (the earliest, oldest); requires !empty().
+  double front_time() const { return heap_.front().time; }
+
+  /// Unexecuted events of the front bucket, in push order.  Invalidated
+  /// by the next push.
+  std::span<const Event> front() const {
+    return unexecuted(buckets_[heap_.front().bucket]);
+  }
+
+  /// Moves the front bucket's next unexecuted event into `ev` and
+  /// returns true, or returns false once that bucket is exhausted.  The
+  /// bucket stays at the front until pop_front(), so a same-time push
+  /// made in between is taken by a later call.
+  bool take_front(Event& ev) {
+    Bucket& bucket = buckets_[heap_.front().bucket];
+    if (bucket.head == bucket.events.size()) return false;
+    ev = bucket.events[bucket.head++];
+    --size_;
+    return true;
+  }
+
+  /// Drops the front bucket with its untaken events and recycles its
+  /// storage; returns how many events it held in total.
+  std::size_t pop_front() {
+    const std::uint32_t b = heap_.front().bucket;
+    heap_.pop();
+    Bucket& bucket = buckets_[b];
+    const std::size_t held = bucket.events.size();
+    size_ -= held - bucket.head;
+    bucket.events.clear();
+    bucket.head = 0;
+    if (last_ == b) last_ = kNoBucket;
+    free_.push_back(b);
+    return held;
+  }
+
+  /// Calls fn(ev) for every pending event (teardown of callables that
+  /// never ran).
+  template <typename F>
+  void for_each_pending(F&& fn) const {
+    for (const BucketRef& ref : heap_) {
+      for (const Event& ev : unexecuted(buckets_[ref.bucket])) fn(ev);
+    }
+  }
+
+ private:
+  /// FIFO of pending events at one timestamp; `head` is the next one to
+  /// take.  Recycled buckets are empty with head 0.
+  struct Bucket {
+    double time;
+    std::uint32_t head = 0;
+    std::vector<Event> events;
+  };
+
+  /// Heap entry with the sort key inline, so sifts compare and move 24
+  /// bytes and never dereference the bucket pool.
+  struct BucketRef {
+    double time;
+    std::uint64_t seq;  // bucket creation sequence: the FIFO tie-break
+    std::uint32_t bucket;
+  };
+  static_assert(sizeof(BucketRef) <= 24, "bucket ref should stay compact");
+
+  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
+
+  static std::span<const Event> unexecuted(const Bucket& bucket) {
+    return std::span<const Event>(bucket.events).subspan(bucket.head);
+  }
+
+  void enqueue_slow(double time, const Event& ev) {
+    std::uint32_t b = static_cast<std::uint32_t>(buckets_.size());
+    if (free_.empty()) {
+      buckets_.push_back(Bucket{time, 0, {}});
+    } else {
+      b = free_.back();
+      free_.pop_back();
+      buckets_[b].time = time;
+    }
+    heap_.push(BucketRef{time, next_seq_++, b});
+    buckets_[b].events.push_back(ev);
+    last_ = b;
+  }
+
+  std::vector<Bucket> buckets_;       // pooled; index-stable
+  std::vector<std::uint32_t> free_;   // recycled bucket indices
+  EventHeap<BucketRef> heap_;         // distinct pending times
+  std::uint32_t last_ = kNoBucket;    // append target cache
+  std::uint64_t next_seq_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace lhg::flooding

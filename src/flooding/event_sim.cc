@@ -5,41 +5,13 @@ namespace lhg::flooding {
 Simulator::~Simulator() {
   // Destroy callables of events that never executed (drained queues
   // leave nothing; run_until can).
-  for (const BucketRef& ref : bucket_heap_) {
-    const Bucket& bucket = buckets_[ref.bucket];
-    for (std::uint32_t i = bucket.head;
-         i < static_cast<std::uint32_t>(bucket.events.size()); ++i) {
-      const Event& ev = bucket.events[i];
-      if (ev.kind == kCallback) slab_.destroy(ev.link);
-    }
-  }
-}
-
-void Simulator::enqueue_slow(double time, const Event& ev) {
-  // Open a fresh bucket for this timestamp.  Several buckets may share
-  // a time (pushes alternating between timestamps abandon and reopen);
-  // the creation-seq tie-break drains them in creation order, which —
-  // because an abandoned bucket never receives further appends — is
-  // exactly global insertion order.
-  std::uint32_t b;
-  if (!bucket_free_.empty()) {
-    b = bucket_free_.back();
-    bucket_free_.pop_back();
-    buckets_[b].time = time;
-    buckets_[b].head = 0;
-    buckets_[b].events.clear();
-  } else {
-    b = static_cast<std::uint32_t>(buckets_.size());
-    buckets_.push_back(Bucket{time, 0, {}});
-  }
-  bucket_heap_.push({time, next_bucket_seq_++, b});
-  buckets_[b].events.push_back(ev);
-  last_bucket_ = b;
+  queue_.for_each_pending([this](const Event& ev) {
+    if (ev.kind == kCallback) slab_.destroy(ev.link);
+  });
 }
 
 void Simulator::dispatch(const Event& ev) {
   ++processed_;
-  --pending_;
   if (obs_ != nullptr) {
     obs_->add(ev.kind == kDeliver ? obs_->sim_deliver_events
                                   : obs_->sim_callback_events);
@@ -56,26 +28,20 @@ void Simulator::dispatch(const Event& ev) {
 }
 
 void Simulator::drain_front(double deadline, bool bounded) {
-  // Drain buckets in (time, creation) order.  All access goes through
-  // indices: dispatch may open new buckets (reallocating `buckets_`) or
-  // append same-time events behind `head` of the bucket being drained.
-  while (!bucket_heap_.empty()) {
-    const std::uint32_t b = bucket_heap_.front().bucket;
-    if (bounded && buckets_[b].time > deadline) break;
-    now_ = buckets_[b].time;
-    while (buckets_[b].head < buckets_[b].events.size()) {
-      const Event ev = buckets_[b].events[buckets_[b].head++];
-      dispatch(ev);
-    }
-    bucket_heap_.pop();
+  // Drain buckets in (time, creation) order, walking each front bucket
+  // in place: dispatch may append same-time events behind its head.
+  // The bucket is popped only once finished, so a handler that throws
+  // leaves the unexecuted rest for the destructor.
+  while (!queue_.empty()) {
+    const double time = queue_.front_time();
+    if (bounded && time > deadline) break;
+    now_ = time;
+    Event ev{};
+    while (queue_.take_front(ev)) dispatch(ev);
+    const std::size_t held = queue_.pop_front();
     if (obs_ != nullptr) {
-      obs_->observe(obs_->sim_bucket_events,
-                    static_cast<std::int64_t>(buckets_[b].events.size()));
+      obs_->observe(obs_->sim_bucket_events, static_cast<std::int64_t>(held));
     }
-    if (last_bucket_ == b) last_bucket_ = kNoBucket;
-    buckets_[b].events.clear();
-    buckets_[b].head = 0;
-    bucket_free_.push_back(b);
   }
 }
 

@@ -23,28 +23,19 @@
 //     event (`slots_created()` exposes the high-water mark for tests to
 //     pin this).
 //
-//   * Bucket queue.  Pending events live in per-time FIFO buckets; a
-//     cache-friendly 4-ary heap (EventHeap, event_core.h) orders only
-//     the *distinct* pending times, not the individual events.
-//     Simulated protocols schedule in long runs of equal timestamps
-//     (every hop of a fixed-latency flood lands on the same instant), so
-//     the common push appends to the current bucket in O(1) and the
-//     common pop is a linear walk — the O(log pending) heap sift is paid
-//     once per time run, not once per event.  Workloads with
-//     all-distinct timestamps (per-send jitter) degrade gracefully to
-//     one-event buckets, i.e. to an ordinary heap with pooled, recycled
-//     bucket storage.
+//   * Bucket queue.  Pending events live in a BucketQueue
+//     (event_core.h, the calendar queue both engines share): per-time
+//     FIFO buckets under a heap of distinct times, so the common
+//     same-time push appends in O(1).  The drain walks the front bucket
+//     in place, so a same-time event scheduled by a running handler
+//     lands behind `head` and runs in the same pass.
 //
 // Determinism contract (unchanged from the std::function engine):
 // events execute in (time, insertion) order, a total order, so a run is
 // a pure function of its inputs — two runs with the same seed produce
 // identical traces, which the golden-trace regression tests pin down to
-// the exact (time, event) sequence.  Within one timestamp the FIFO
-// bucket preserves insertion order directly; across buckets that share
-// a timestamp (a bucket is abandoned whenever a different time is
-// scheduled, and never appended to again) the creation-sequence
-// tie-break drains them in creation order, which is again exactly
-// insertion order.
+// the exact (time, event) sequence.  BucketQueue drains same-time
+// events in push order, which is exactly insertion order.
 
 #pragma once
 
@@ -108,10 +99,8 @@ class Simulator {
     if constexpr (IsStdFunction<Fn>::value) {
       LHG_CHECK(static_cast<bool>(fn), "Simulator::schedule_at: empty callback");
     }
-    Event ev;
-    ev.kind = kCallback;
-    ev.link = slab_.store(std::forward<F>(fn));
-    enqueue(time, ev);
+    queue_.push(time, Event{nullptr, 0, 0, 0,
+                            slab_.store(std::forward<F>(fn)), kCallback});
   }
 
   /// Schedules `fn` to run `delay` (>= 0) after now().
@@ -129,14 +118,7 @@ class Simulator {
                            std::int64_t message) {
     check_time(time);
     LHG_DCHECK(sink != nullptr, "Simulator::schedule_deliver_at: null sink");
-    Event ev;
-    ev.sink = sink;
-    ev.message = message;
-    ev.from = from;
-    ev.to = to;
-    ev.link = link;
-    ev.kind = kDeliver;
-    enqueue(time, ev);
+    queue_.push(time, Event{sink, message, from, to, link, kDeliver});
   }
 
   void schedule_deliver_in(double delay, DeliverSink* sink, std::int32_t from,
@@ -156,7 +138,7 @@ class Simulator {
   std::int64_t events_processed() const { return processed_; }
 
   /// Number of events still queued.
-  std::size_t pending() const { return pending_; }
+  std::size_t pending() const { return queue_.size(); }
 
   /// Callback slots ever carved from the slab — the storage high-water
   /// mark.  Deliver events never touch the slab (their payload rides in
@@ -188,23 +170,6 @@ class Simulator {
   };
   static_assert(sizeof(Event) <= 32, "queued event should stay compact");
 
-  /// FIFO of every pending event at one timestamp; storage is pooled
-  /// and recycled through `bucket_free_`.
-  struct Bucket {
-    double time;
-    std::uint32_t head = 0;  // next event to execute
-    std::vector<Event> events;
-  };
-
-  /// Bucket-heap entry with the sort key inline, so sifts compare and
-  /// move 24 bytes and never dereference the bucket pool.
-  struct BucketRef {
-    double time;
-    std::uint64_t seq;  // bucket creation sequence: the FIFO tie-break
-    std::uint32_t bucket;
-  };
-  static_assert(sizeof(BucketRef) <= 24, "bucket ref should stay compact");
-
   template <typename T>
   struct IsStdFunction : std::false_type {};
   template <typename R, typename... Args>
@@ -215,31 +180,10 @@ class Simulator {
               "Simulator: time {} is NaN or before now {}", time, now_);
   }
 
-  /// Hot path: almost every push lands on the same timestamp as the
-  /// previous one (the next hop round) and appends in O(1).
-  void enqueue(double time, const Event& ev) {
-    ++pending_;
-    if (last_bucket_ != kNoBucket && buckets_[last_bucket_].time == time) {
-      buckets_[last_bucket_].events.push_back(ev);
-      return;
-    }
-    enqueue_slow(time, ev);
-  }
-
-  void enqueue_slow(double time, const Event& ev);
-
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
-
   void drain_front(double deadline, bool bounded);
   void dispatch(const Event& ev);  // execute exactly one event
 
-  std::vector<Bucket> buckets_;             // pooled; index-stable
-  std::vector<std::uint32_t> bucket_free_;  // recycled bucket indices
-  EventHeap<BucketRef> bucket_heap_;        // distinct pending times
-  std::uint32_t last_bucket_ = kNoBucket;   // append target cache
-  std::uint64_t next_bucket_seq_ = 0;
-  std::size_t pending_ = 0;
-
+  BucketQueue<Event> queue_;
   CallbackSlab<> slab_;
   double now_ = 0.0;
   std::int64_t processed_ = 0;

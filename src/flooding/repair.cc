@@ -372,12 +372,12 @@ RepairResult run_repair(const core::Graph& topology, const RepairConfig& cfg,
       [&s](NodeId u) { return s.beat(u); },
       // A suspicion records the first real detection and learns the
       // obituary, which floods it as a view change.
-      [&s](NodeId observer, NodeId target, std::int32_t, bool false_alarm) {
-        const auto t = static_cast<std::size_t>(target);
+      [&s](NodeId observer, NodeId subject, std::int32_t, bool false_alarm) {
+        const auto t = static_cast<std::size_t>(subject);
         if (!false_alarm && s.first_suspect[t] < 0.0) {
           s.first_suspect[t] = s.sim.now();
         }
-        s.learn_down(observer, target,
+        s.learn_down(observer, subject,
                      s.epoch_seen[static_cast<std::size_t>(observer) * s.n + t],
                      /*relay_except=*/-1);
       });

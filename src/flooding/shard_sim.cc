@@ -53,68 +53,34 @@ ShardedSimulator::ShardedSimulator(std::int32_t num_nodes,
     : ShardedSimulator(contiguous_blocks(num_nodes, num_shards),
                        std::min(num_shards, num_nodes)) {}
 
-ShardedSimulator::~ShardedSimulator() { destroy_pending_callbacks(); }
-
-void ShardedSimulator::destroy_pending_callbacks() {
+ShardedSimulator::~ShardedSimulator() {
   // run_until can leave unexecuted events behind; destroy their
   // callables exactly as the serial engine's destructor does.  Between
   // windows `run`/`late` are empty and outboxes hold only deliver
-  // events, so shard bucket heaps and the control lane cover
-  // everything.
+  // events, so shard queues and the control lane cover everything.
   for (Shard& sh : shards_) {
-    for (const BucketRef& ref : sh.heap) {
-      for (const Event& ev : sh.buckets[ref.bucket].events) {
-        if (ev.kind == kCallback) sh.slab.destroy(ev.link);
-      }
-    }
+    sh.queue.for_each_pending([&sh](const Event& ev) {
+      if (ev.kind == kCallback) sh.slab.destroy(ev.link);
+    });
   }
-  for (const ControlRef& ref : control_) control_slab_.destroy(ref.slot);
+  control_.for_each_pending(
+      [this](std::int32_t id) { control_slab_.destroy(id); });
 }
 
 void ShardedSimulator::enqueue(Shard& sh, double time, const Event& ev) {
-  ++sh.pending;
   // Same-time events created while their timestamp is being drained
   // slot into the remaining execution by key (the bucket was already
   // collected); everything else takes the calendar-queue path.
   if (sh.draining && time == sh.drain_time) {
-    late_push(sh, ev);
+    sh.late.push_back(ev);
+    std::push_heap(sh.late.begin(), sh.late.end(), later_key);
     return;
   }
-  if (sh.last_bucket != kNoBucket && sh.buckets[sh.last_bucket].time == time) {
-    sh.buckets[sh.last_bucket].events.push_back(ev);
-    return;
-  }
-  enqueue_slow(sh, time, ev);
-}
-
-void ShardedSimulator::enqueue_slow(Shard& sh, double time, const Event& ev) {
-  // Open a fresh bucket for this timestamp.  Several buckets may share
-  // a time; the window drain collects all of them and key-sorts once,
-  // so bucket multiplicity never affects execution order.
-  std::uint32_t b;
-  if (!sh.bucket_free.empty()) {
-    b = sh.bucket_free.back();
-    sh.bucket_free.pop_back();
-    sh.buckets[b].time = time;
-    sh.buckets[b].events.clear();
-  } else {
-    b = static_cast<std::uint32_t>(sh.buckets.size());
-    sh.buckets.push_back(Bucket{time, {}});
-  }
-  sh.heap.push(BucketRef{time, sh.next_bucket_seq++, b});
-  sh.buckets[b].events.push_back(ev);
-  sh.last_bucket = b;
-}
-
-void ShardedSimulator::late_push(Shard& sh, const Event& ev) {
-  sh.late.push_back(ev);
-  std::push_heap(sh.late.begin(), sh.late.end(),
-                 [](const Event& a, const Event& b) { return a.key > b.key; });
+  sh.queue.push(time, ev);
 }
 
 ShardedSimulator::Event ShardedSimulator::late_pop(Shard& sh) {
-  std::pop_heap(sh.late.begin(), sh.late.end(),
-                [](const Event& a, const Event& b) { return a.key > b.key; });
+  std::pop_heap(sh.late.begin(), sh.late.end(), later_key);
   const Event ev = sh.late.back();
   sh.late.pop_back();
   return ev;
@@ -123,7 +89,6 @@ ShardedSimulator::Event ShardedSimulator::late_pop(Shard& sh) {
 void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
                                 const Event& ev) {
   ++sh.processed;
-  --sh.pending;
   if (sh.obs != nullptr) {
     // Note: the serial engine's sim_bucket_events histogram is
     // deliberately NOT recorded here — per-drain bucket sizes depend on
@@ -148,8 +113,8 @@ void ShardedSimulator::dispatch(Shard& sh, std::int32_t shard_idx,
 void ShardedSimulator::drain_window(std::int32_t s, double wend,
                                     double deadline, bool bounded) {
   Shard& sh = shards_[static_cast<std::size_t>(s)];
-  while (!sh.heap.empty()) {
-    const double t = sh.heap.front().time;
+  while (!sh.queue.empty()) {
+    const double t = sh.queue.front_time();
     if (t >= wend) break;
     if (bounded && t > deadline) break;
     // Collect every bucket holding this timestamp and key-sort once:
@@ -158,14 +123,10 @@ void ShardedSimulator::drain_window(std::int32_t s, double wend,
     sh.now = t;
     sh.drain_time = t;
     sh.run.clear();
-    while (!sh.heap.empty() && sh.heap.front().time == t) {
-      const std::uint32_t b = sh.heap.front().bucket;
-      Bucket& bucket = sh.buckets[b];
-      sh.run.insert(sh.run.end(), bucket.events.begin(), bucket.events.end());
-      bucket.events.clear();
-      sh.heap.pop();
-      if (sh.last_bucket == b) sh.last_bucket = kNoBucket;
-      sh.bucket_free.push_back(b);
+    while (!sh.queue.empty() && sh.queue.front_time() == t) {
+      const auto events = sh.queue.front();
+      sh.run.insert(sh.run.end(), events.begin(), events.end());
+      sh.queue.pop_front();
     }
     std::sort(sh.run.begin(), sh.run.end(),
               [](const Event& a, const Event& b) { return a.key < b.key; });
@@ -199,10 +160,7 @@ void ShardedSimulator::exchange() {
       if (s == d) continue;
       Shard& src = peer_shard(s);  // lint: allow(cross-shard-state): barrier exchange after lanes quiesce
       std::vector<Event>& box = src.outbox[static_cast<std::size_t>(d)];
-      for (const Event& ev : box) {
-        --src.outbox_pending;
-        enqueue(dst, ev.time, ev);
-      }
+      for (const Event& ev : box) enqueue(dst, ev.time, ev);
       box.clear();
     }
   }
@@ -213,11 +171,13 @@ void ShardedSimulator::run_control(double tctl) {
   // run in a serial phase, so handlers may mutate shared network state
   // and schedule further control or node events.
   env_now_ = tctl;
-  while (!control_.empty() && control_.front().time == tctl) {
-    const std::int32_t id = control_.front().slot;
-    control_.pop();
-    control_slab_.invoke(id, kEnvOrigin);
-    ++env_processed_;
+  while (!control_.empty() && control_.front_time() == tctl) {
+    std::int32_t id = 0;
+    while (control_.take_front(id)) {
+      control_slab_.invoke(id, kEnvOrigin);
+      ++env_processed_;
+    }
+    control_.pop_front();
   }
 }
 
@@ -227,11 +187,11 @@ void ShardedSimulator::run_impl(double deadline, bool bounded) {
   for (;;) {
     double tmin = std::numeric_limits<double>::infinity();
     for (const Shard& sh : shards_) {
-      if (!sh.heap.empty()) tmin = std::min(tmin, sh.heap.front().time);
+      if (!sh.queue.empty()) tmin = std::min(tmin, sh.queue.front_time());
     }
     const double tctl = control_.empty()
                             ? std::numeric_limits<double>::infinity()
-                            : control_.front().time;
+                            : control_.front_time();
     const double next = std::min(tmin, tctl);
     if (next == std::numeric_limits<double>::infinity()) break;
     if (bounded && next > deadline) break;
@@ -276,7 +236,7 @@ std::int64_t ShardedSimulator::events_processed() const {
 
 std::size_t ShardedSimulator::pending() const {
   std::size_t total = control_.size();
-  for (const Shard& sh : shards_) total += sh.pending;
+  for (const Shard& sh : shards_) total += sh.queue.size();
   return total;
 }
 

@@ -42,15 +42,13 @@
 // the determinism linter flags outside the audited barrier-exchange
 // sites.
 //
-// Queue mechanics per shard reuse the event_sim.h calendar-queue
-// design: per-timestamp buckets + an EventHeap over distinct times, and
-// the CallbackSlab callback storage (both event_core.h, shared with the
-// serial engine; the control lane uses the same two).  Two additions:
-// a drained bucket is key-sorted once before execution, and same-time
-// events created *during* the drain go to a small per-shard min-heap
-// merged against the sorted remainder — "slot by key among the
-// unexecuted events", the parallel analogue of the serial engine's
-// append-behind-head.
+// Queue mechanics per shard: a BucketQueue (event_core.h, the calendar
+// queue the serial engine and the control lane also use) plus a
+// CallbackSlab.  Two additions: the drained buckets of one timestamp are
+// key-sorted once before execution, and same-time events created
+// *during* the drain go to a small per-shard min-heap merged against the
+// sorted remainder — "slot by key among the unexecuted events", the
+// parallel analogue of the serial engine's append-behind-head.
 //
 // What is NOT invariant: the per-drained-bucket size histogram
 // (sim.bucket_events) depends on how timestamps split across shards,
@@ -172,8 +170,7 @@ class ShardedSimulator {
     LHG_CHECK(time == time && time >= env_now_,
               "ShardedSimulator: control time {} is NaN or before now {}",
               time, env_now_);
-    const std::int32_t id = control_slab_.store(std::forward<F>(fn));
-    control_.push(ControlRef{time, env_seq_++, id});
+    control_.push(time, control_slab_.store(std::forward<F>(fn)));
   }
 
   /// Schedules `fn(shard)` to run at `time` on the shard owning
@@ -186,22 +183,17 @@ class ShardedSimulator {
                         F&& fn) {
     LHG_CHECK_RANGE(owner, num_nodes());
     Shard& dst = shards_[static_cast<std::size_t>(shard_of(owner))];
-    Event ev;
-    ev.key = make_key(ctx);
-    ev.message = 0;
-    ev.from = owner;
-    ev.to = owner;
-    ev.kind = kCallback;
+    Event ev{make_key(ctx), 0, 0.0, owner, owner, -1, kCallback};
     if (ctx == kEnvOrigin) {
       LHG_CHECK(in_serial_phase(),
                 "ShardedSimulator: env-context scheduling inside a window");
-      check_time_env(time);
+      check_time(time, env_now_);
     } else {
       LHG_DCHECK(shard_of(owner) == ctx,
                  "ShardedSimulator: node {} scheduled from shard {} but owned "
                  "by shard {}",
                  owner, ctx, shard_of(owner));
-      check_time_shard(dst, time);
+      check_time(time, dst.now);
     }
     ev.link = dst.slab.store(std::forward<F>(fn));
     enqueue(dst, time, ev);
@@ -215,23 +207,17 @@ class ShardedSimulator {
   void schedule_deliver_at(std::int32_t ctx, double time, std::int32_t from,
                            std::int32_t to, std::int32_t link,
                            std::int64_t message) {
-    Event ev;
-    ev.key = make_key(ctx);
-    ev.message = message;
-    ev.from = from;
-    ev.to = to;
-    ev.link = link;
-    ev.kind = kDeliver;
+    Event ev{make_key(ctx), message, 0.0, from, to, link, kDeliver};
     const std::int32_t dst = shard_of(to);
     if (ctx == kEnvOrigin) {
       LHG_CHECK(in_serial_phase(),
                 "ShardedSimulator: env-context scheduling inside a window");
-      check_time_env(time);
+      check_time(time, env_now_);
       enqueue(shards_[static_cast<std::size_t>(dst)], time, ev);
       return;
     }
     Shard& src = shards_[static_cast<std::size_t>(ctx)];
-    check_time_shard(src, time);
+    check_time(time, src.now);
     if (dst == ctx) {
       enqueue(src, time, ev);
       return;
@@ -242,7 +228,6 @@ class ShardedSimulator {
                time, window_end_);
     ev.time = time;
     src.outbox[static_cast<std::size_t>(dst)].push_back(ev);
-    ++src.outbox_pending;
   }
 
   /// Runs all events (window loop + control phases) until every queue
@@ -256,8 +241,8 @@ class ShardedSimulator {
   /// total at any shard or thread count.
   std::int64_t events_processed() const;
 
-  /// Events still queued across all shards, outboxes and the control
-  /// lane.
+  /// Events still queued across all shards and the control lane, read
+  /// from a serial phase (outboxes are empty outside windows).
   std::size_t pending() const;
 
   /// Callback slots ever carved across all shard slabs (plus the
@@ -284,32 +269,13 @@ class ShardedSimulator {
     std::uint32_t kind;
   };
   static_assert(sizeof(Event) <= 40, "queued event should stay compact");
-
-  struct Bucket {
-    double time;
-    std::vector<Event> events;
-  };
-
-  struct BucketRef {
-    double time;
-    std::uint64_t seq;  // bucket creation order: heap tie-break only
-    std::uint32_t bucket;
-  };
-
-  struct ControlRef {
-    double time;
-    std::uint64_t seq;
-    std::int32_t slot;
-  };
+  /// Min-heap order of `Shard::late` by canonical key.
+  static bool later_key(const Event& a, const Event& b) {
+    return a.key > b.key;
+  }
 
   struct Shard {
-    // Calendar queue (event_sim.h design).
-    std::vector<Bucket> buckets;
-    std::vector<std::uint32_t> bucket_free;
-    EventHeap<BucketRef> heap;  // distinct pending times
-    std::uint32_t last_bucket = kNoBucket;
-    std::uint64_t next_bucket_seq = 0;
-    std::size_t pending = 0;
+    BucketQueue<Event> queue;
 
     // Drain state.
     double now = 0.0;
@@ -323,13 +289,10 @@ class ShardedSimulator {
 
     // Cross-shard deliveries created this window, one box per dest.
     std::vector<std::vector<Event>> outbox;
-    std::size_t outbox_pending = 0;
 
     std::int64_t processed = 0;
     const obs::SimObs* obs = nullptr;
   };
-
-  static constexpr std::uint32_t kNoBucket = 0xffffffffu;
 
   /// Canonical key of an event created in context `ctx`: the acting
   /// node's (origin, seq) pair, or the env counter.  Packs into 64 bits
@@ -345,15 +308,10 @@ class ShardedSimulator {
     return (static_cast<std::uint64_t>(origin) << 32) | seq;
   }
 
-  void check_time_env(double time) const {
-    LHG_CHECK(time == time && time >= env_now_,
-              "ShardedSimulator: time {} is NaN or before now {}", time,
-              env_now_);
-  }
-  void check_time_shard(const Shard& sh, double time) const {
-    LHG_CHECK(time == time && time >= sh.now,
-              "ShardedSimulator: time {} is NaN or before shard now {}", time,
-              sh.now);
+  /// `now` is the scheduling context's clock: env_now_ or a shard's.
+  static void check_time(double time, double now) {
+    LHG_CHECK(time == time && time >= now,
+              "ShardedSimulator: time {} is NaN or before now {}", time, now);
   }
 
   /// Cross-shard accessor.  Every use outside the audited barrier-
@@ -365,28 +323,24 @@ class ShardedSimulator {
   }
 
   void enqueue(Shard& sh, double time, const Event& ev);
-  void enqueue_slow(Shard& sh, double time, const Event& ev);
-  void late_push(Shard& sh, const Event& ev);
   Event late_pop(Shard& sh);
   void dispatch(Shard& sh, std::int32_t shard_idx, const Event& ev);
   void drain_window(std::int32_t s, double wend, double deadline, bool bounded);
   void exchange();
   void run_control(double tctl);
   void run_impl(double deadline, bool bounded);
-  void destroy_pending_callbacks();
 
   std::vector<std::int32_t> owner_;  // node -> shard
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> node_seq_;  // per-origin creation counters
   std::uint64_t env_seq_for_key_ = 0;    // env-origin key counter
-  std::uint64_t env_seq_ = 0;            // control-queue tie-break
   DeliverSink* sink_ = nullptr;
   double lookahead_ = std::numeric_limits<double>::infinity();
   double env_now_ = 0.0;
   double window_end_ = 0.0;
   bool in_windows_ = false;
 
-  EventHeap<ControlRef> control_;
+  BucketQueue<std::int32_t> control_;  // slab slot ids, scheduling order
   CallbackSlab<std::int32_t> control_slab_;
   std::int64_t env_processed_ = 0;
 };

@@ -14,7 +14,21 @@ std::string to_string(Constraint c) {
   LHG_CHECK(false, "to_string: unknown constraint {}", static_cast<int>(c));
 }
 
+namespace {
+
+// Realizing a plan allocates O(n) (and jd::plan narrows its interior
+// count to 32 bits), so every path that builds one refuses n above the
+// shared node cap before anything is allocated.
+void check_plan_size(std::int64_t n) {
+  LHG_CHECK(n <= core::kMaxNodes,
+            "an LHG on n={} nodes exceeds the limit of {} nodes", n,
+            core::kMaxNodes);
+}
+
+}  // namespace
+
 TreePlan plan(std::int64_t n, std::int32_t k, Constraint c) {
+  check_plan_size(n);
   switch (c) {
     case Constraint::kStrictJD: {
       auto p = jd::plan(n, k);
@@ -39,7 +53,11 @@ core::Graph build(core::NodeId n, std::int32_t k, Constraint c) {
 
 bool exists(std::int64_t n, std::int32_t k, Constraint c) {
   switch (c) {
-    case Constraint::kStrictJD: return jd::exists(n, k);
+    case Constraint::kStrictJD:
+      // The only existence test that builds a plan; the others are
+      // closed-form and stay total.
+      check_plan_size(n);
+      return jd::exists(n, k);
     case Constraint::kKTree: return ktree::exists(n, k);
     case Constraint::kKDiamond: return kdiamond::exists(n, k);
   }

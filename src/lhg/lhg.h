@@ -37,7 +37,8 @@ std::string to_string(Constraint c);
 
 /// Builds an LHG on n nodes tolerating k−1 failures under the given
 /// constraint.  Throws std::invalid_argument if the pair is not
-/// realizable under that constraint (see exists()).
+/// realizable under that constraint (see exists()) or n exceeds
+/// core::kMaxNodes.
 core::Graph build(core::NodeId n, std::int32_t k,
                   Constraint c = Constraint::kKTree);
 
@@ -46,6 +47,8 @@ core::Graph build_with_layout(core::NodeId n, std::int32_t k, Constraint c,
                               Layout* layout);
 
 /// EX_Π(n, k): does an LHG satisfying the constraint exist for the pair?
+/// Strict J&D answers by building the plan, so it rejects n above
+/// core::kMaxNodes like plan(); the other rules are closed-form.
 bool exists(std::int64_t n, std::int32_t k,
             Constraint c = Constraint::kKTree);
 
@@ -54,6 +57,7 @@ bool regular_exists(std::int64_t n, std::int32_t k,
                     Constraint c = Constraint::kKTree);
 
 /// The abstract tree plan the builder would realize (introspection).
+/// Throws std::invalid_argument for n above core::kMaxNodes.
 TreePlan plan(std::int64_t n, std::int32_t k,
               Constraint c = Constraint::kKTree);
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/check.h"
+#include "core/graph.h"
 
 namespace lhg {
 
@@ -30,12 +31,6 @@ void write_plan(const TreePlan& plan, std::ostream& out) {
 }
 
 namespace {
-
-/// Largest plan the reader accepts, in realized nodes.  The reader
-/// allocates O(I) before it sees the parents line and every interior
-/// realizes k >= 2 nodes, so capping k·I here bounds that allocation;
-/// ten million nodes matches the edge-list limit (core/graph_io.cc).
-constexpr std::int64_t kMaxPlanNodes = 10'000'000;
 
 bool read_data_line(std::istream& in, std::string& line) {
   while (std::getline(in, line)) {
@@ -77,8 +72,9 @@ TreePlan read_plan(std::istream& in) {
   {
     std::istringstream row(next_data_line(in));
     expect_keyword(row, "k");
-    LHG_CHECK((row >> plan.k) && plan.k >= 2 && plan.k <= kMaxPlanNodes,
-              "lhg-plan: bad k {}", plan.k);
+    LHG_CHECK(
+        (row >> plan.k) && plan.k >= 2 && plan.k <= core::kMaxNodes,
+        "lhg-plan: bad k {}", plan.k);
     expect_row_end(row, "k");
   }
   std::int32_t num_interiors = 0;
@@ -88,10 +84,13 @@ TreePlan read_plan(std::istream& in) {
     LHG_CHECK((row >> num_interiors) && num_interiors >= 1,
               "lhg-plan: bad interior count {}", num_interiors);
     expect_row_end(row, "interiors");
+    // The reader allocates O(I) before it sees the parents line and every
+    // interior realizes k >= 2 nodes, so capping k·I bounds that
+    // allocation.
     LHG_CHECK(static_cast<std::int64_t>(plan.k) * num_interiors <=
-                  kMaxPlanNodes,
+                  core::kMaxNodes,
               "lhg-plan: {} interiors at k={} exceed the limit of {} nodes",
-              num_interiors, plan.k, kMaxPlanNodes);
+              num_interiors, plan.k, core::kMaxNodes);
   }
   plan.interior_parent.assign(static_cast<std::size_t>(num_interiors), -1);
   if (num_interiors > 1) {
@@ -114,9 +113,9 @@ TreePlan read_plan(std::istream& in) {
     expect_row_end(row, "leaves");
     // Every leaf realizes at least one node.
     LHG_CHECK(static_cast<std::int64_t>(plan.k) * num_interiors + num_leaves <=
-                  kMaxPlanNodes,
+                  core::kMaxNodes,
               "lhg-plan: {} leaves exceed the limit of {} nodes", num_leaves,
-              kMaxPlanNodes);
+              core::kMaxNodes);
   }
   for (std::int32_t l = 0; l < num_leaves; ++l) {
     std::istringstream row(next_data_line(in));
@@ -139,9 +138,9 @@ TreePlan read_plan(std::istream& in) {
   LHG_CHECK(!read_data_line(in, extra),
             "lhg-plan: data after the {} declared leaves: '{}'", num_leaves,
             extra);
-  LHG_CHECK(plan.realized_nodes() <= kMaxPlanNodes,
+  LHG_CHECK(plan.realized_nodes() <= core::kMaxNodes,
             "lhg-plan: plan realizes {} nodes, above the limit of {}",
-            plan.realized_nodes(), kMaxPlanNodes);
+            plan.realized_nodes(), core::kMaxNodes);
   return plan;
 }
 

@@ -7,13 +7,32 @@ Usage: test_lhg_cli.py <path/to/lhg_cli> <case>
 Registered in tests/CMakeLists.txt as one ctest per case.
 """
 
+import resource
 import subprocess
 import sys
 
+# Address-space ceiling for mutated argument lists: a size that slips
+# past validation fails fast on allocation instead of exhausting memory.
+ADDRESS_SPACE_LIMIT = 2 << 30
 
-def run(cli, args, stdin=b""):
+
+def sanitized(cli):
+    # Sanitizer runtimes reserve terabytes of shadow address space, so an
+    # RLIMIT_AS ceiling would stop them before main().
+    with open(cli, "rb") as binary:
+        data = binary.read()
+    return b"__asan_init" in data or b"__tsan_init" in data
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+def run(cli, args, stdin=b"", limited=False):
     return subprocess.run([cli, *args], input=stdin, capture_output=True,
-                          timeout=60, check=False)
+                          timeout=60, check=False,
+                          preexec_fn=limit_address_space if limited else None)
 
 
 def expect_exit(result, code, what):
@@ -56,11 +75,19 @@ def overflowing_k(cli):
                 "build 20 1073741824")
 
 
+# Sizes that parse and are merely large: each must be refused against the
+# shared node cap (10^7) before anything is allocated.
+OVERSIZED_ARGV = [
+    ["exists", "9223372036854775807", "4"],
+    ["exists", "1000000000000", "4"],
+    ["route", "2147483647", "4", "0", "1"],
+]
+
 # Arguments mutated to the boundaries a numeric field is most likely to
 # mishandle: negative, zero, scientific notation, just past int32 and
-# int64, a 40-digit run, an empty string, an unknown constraint.  None
-# of them may make lhg_cli allocate without bound, so a size that parses
-# and is merely large is left out.
+# int64, a 40-digit run, an empty string, an unknown constraint, and the
+# oversized sizes above.  None of them may make lhg_cli allocate without
+# bound.
 MUTATED_ARGV = [
     ["build", "-5", "4"],
     ["build", "1e9", "4"],
@@ -88,18 +115,25 @@ MUTATED_ARGV = [
     ["exists", "9223372036854775808", "4"],
     ["plan", "-5", "4"],
     ["plan", "20", "1"],
+    *OVERSIZED_ARGV,
 ]
 
 
 def mutated_arguments(cli):
     graph = run(cli, ["build", "20", "3"])
     expect_exit(graph, 0, "build 20 3")
+    limited = not sanitized(cli)
     for args in MUTATED_ARGV:
-        result = run(cli, args, graph.stdout)
+        result = run(cli, args, graph.stdout, limited)
         if result.returncode not in (0, 1, 65):
             sys.exit(f"lhg_cli {' '.join(args)}: exit {result.returncode}, "
                      f"expected 0, 1 or 65 (negative = killed by a signal)\n"
                      f"stderr: {result.stderr[:400]!r}")
+        if args in OVERSIZED_ARGV:
+            expect_exit(result, 65, " ".join(args))
+            if b"limit of 10000000 nodes" not in result.stderr:
+                sys.exit(f"lhg_cli {' '.join(args)}: stderr does not name "
+                         f"the node cap\nstderr: {result.stderr[:400]!r}")
 
 
 CASES = {
